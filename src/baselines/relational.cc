@@ -197,20 +197,26 @@ RelTable ApplyRelFilter(const RelTable& in, const FilterExpr& f,
 
 StatusOr<QueryResult> ProjectRelation(const Query& q, const RelTable& table,
                                       const StringServer& strings) {
-  // Reuse the integrated engine's projection/aggregation via BindingTable.
-  BindingTable bt;
+  // Reuse the integrated engine's projection/aggregation.
+  ColumnarTable bindings;
   for (int v : table.vars) {
-    bt.AddColumn(v);
+    bindings.AddColumn(v);
   }
-  for (const auto& row : table.rows) {
-    bt.AppendRow(row.data());
+  if (!table.vars.empty() && !table.rows.empty()) {
+    ColumnarChunk* ch = bindings.StartChunk(table.rows.size());
+    for (size_t r = 0; r < table.rows.size(); ++r) {
+      for (size_t c = 0; c < table.vars.size(); ++c) {
+        ch->cols[c][r] = table.rows[r][c];
+      }
+    }
+    ch->size = table.rows.size();
   }
   if (table.vars.empty() && table.rows.empty()) {
-    bt.FailUnit();
+    bindings.FailUnit();
   }
   ExecContext ctx;
   ctx.strings = &strings;
-  auto result = ProjectResult(q, ctx, bt);
+  auto result = ProjectResult(q, ctx, bindings);
   if (!result.ok()) {
     return result;
   }

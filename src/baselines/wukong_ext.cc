@@ -141,8 +141,9 @@ StatusOr<QueryExecution> WukongExt::ExecuteContinuous(const Query& q,
 
   std::vector<std::unique_ptr<TimeFilteredSource>> plan_holders;
   ExecContext plan_ctx = build_ctx(/*charge_reads=*/false, &plan_holders);
-  // The extension predates the columnar executor: it plans with the legacy
-  // row-count expansion estimate and runs the row pipeline below.
+  // The extension predates the columnar executor's planner model: it plans
+  // with the row-count expansion estimate (no chunk-cardinality bound), then
+  // runs on the shared executor like every other engine.
   PlanHints hints;
   hints.chunk_rows = 0;
   std::vector<int> plan = PlanQuery(q, plan_ctx, hints);
@@ -171,15 +172,7 @@ StatusOr<QueryExecution> WukongExt::ExecuteContinuous(const Query& q,
       }
     };
   }
-  auto table = ExecutePatternsRow(q, plan, ctx, hook);
-  if (!table.ok()) {
-    return table.status();
-  }
-  Status fs = ApplyFilters(q, ctx, &table.value());
-  if (!fs.ok()) {
-    return fs;
-  }
-  auto result = ProjectResult(q, ctx, table.value());
+  auto result = ExecutePipeline(q, plan, ctx, hook);
   if (!result.ok()) {
     return result.status();
   }

@@ -1016,7 +1016,6 @@ StatusOr<ExecContext> Cluster::BuildContext(
     std::vector<std::unique_ptr<NeighborSource>>* holders, DegradeState* degrade) {
   ExecContext ctx;
   ctx.strings = strings_;
-  ctx.columnar = config_.columnar_executor;
   if constexpr (obs::kCompiledIn) {
     ctx.tracer = tracer_;
     ctx.trace_node = home;

@@ -116,13 +116,6 @@ struct ClusterConfig {
   // Results are bag-identical to cold re-execution; row order may differ.
   bool delta_cache_enabled = true;
 
-  // Executor pipeline selector (DESIGN.md §5.13). On (default), intermediate
-  // results are column-major ColumnarTables with batched scan-join kernels;
-  // off runs the legacy row-major pipeline. Projected results are
-  // byte-identical — the differential harness runs a row-mode twin cluster
-  // against the columnar one on every seed to prove it.
-  bool columnar_executor = true;
-
   // Locality-aware partitioning of the stream index (paper §4.2, Fig. 9):
   // replicate a stream's index to nodes whose registered queries consume it.
   // Disabling it (ablation) makes every remote window lookup pay an extra

@@ -196,44 +196,6 @@ void ColumnarTable::Compact() {
   }
 }
 
-BindingTable ColumnarTable::ToRows() const {
-  BindingTable rows;
-  for (int v : vars_) {
-    rows.AddColumn(v);
-  }
-  if (vars_.empty()) {
-    if (unit_failed_) {
-      rows.FailUnit();
-    }
-    return rows;
-  }
-  std::vector<VertexId> buf(vars_.size());
-  ForEachActiveRow([&](const ColumnarChunk& ch, size_t r) {
-    for (size_t c = 0; c < buf.size(); ++c) {
-      buf[c] = ch.cols[c][r];
-    }
-    rows.AppendRow(buf.data());
-  });
-  return rows;
-}
-
-ColumnarTable ColumnarTable::FromRows(const BindingTable& rows) {
-  ColumnarTable t;
-  for (int v : rows.vars()) {
-    t.AddColumn(v);
-  }
-  if (rows.num_cols() == 0) {
-    if (rows.num_rows() == 0) {
-      t.FailUnit();
-    }
-    return t;
-  }
-  for (size_t r = 0; r < rows.num_rows(); ++r) {
-    t.AppendRow(rows.Row(r));
-  }
-  return t;
-}
-
 size_t ColumnarTable::MemoryBytes() const {
   size_t bytes = vars_.capacity() * sizeof(int);
   for (const auto& a : arenas_) {

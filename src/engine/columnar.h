@@ -2,9 +2,9 @@
 // (DESIGN.md §5.13).
 //
 // The executor's hot loops — pattern expansion, existence checks, FILTER
-// evaluation — used to walk row-major BindingTables, paying a malloc'd
-// vector insert per output row. A ColumnarTable instead stores bindings as
-// fixed-capacity chunks of contiguous id columns carved out of a bump-
+// evaluation — run over ColumnarTables, the executor's only binding-table
+// type, with no malloc'd vector insert per output row. A ColumnarTable
+// stores bindings as fixed-capacity chunks of contiguous id columns carved out of a bump-
 // allocated ColumnArena, with a per-chunk selection vector so pruning steps
 // (existence checks, FILTERs) drop rows without copying anything. Pattern
 // expansion becomes a batched scan-join: stage (source row, neighbor) pairs
@@ -21,10 +21,10 @@
 //    outlives the table that built it. Resetting or reusing an arena while
 //    any table still references it is the lifetime bug the
 //    `stale_arena_reuse` planted mutation simulates.
-//  - The row view (ToRows/FromRows) is the compatibility contract: the
-//    fork-join serialization format and DeltaCache keys predate the
-//    columnar layout and are defined over rows; the adapter round-trips
-//    tables with row order preserved.
+//  - Row order is the contract: every operation enumerates active rows in
+//    table order (ForEachActiveRow), which fork-join serialization and the
+//    DeltaCache's per-slice contributions rely on (pinned by the golden
+//    corpus under tests/corpus/results/).
 
 #ifndef SRC_ENGINE_COLUMNAR_H_
 #define SRC_ENGINE_COLUMNAR_H_
@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "src/common/ids.h"
-#include "src/engine/binding.h"
 
 namespace wukongs {
 
@@ -94,14 +93,15 @@ class ColumnarTable {
   ColumnarTable(const ColumnarTable& other);
   ColumnarTable& operator=(const ColumnarTable& other);
 
-  // Column handling, mirroring BindingTable.
+  // Column handling.
   int ColumnOf(int var) const;
   bool IsBound(int var) const { return ColumnOf(var) >= 0; }
   size_t num_cols() const { return vars_.size(); }
   const std::vector<int>& vars() const { return vars_; }
 
   // Active rows across all chunks. A table with zero columns has one
-  // implicit "unit" row until explicitly failed, like BindingTable.
+  // implicit "unit" row until explicitly failed (the algebra of an empty
+  // graph pattern).
   size_t num_rows() const;
   void FailUnit() { unit_failed_ = true; }
   bool unit_failed() const { return unit_failed_; }
@@ -119,7 +119,7 @@ class ColumnarTable {
   // splice it into place (e.g. replacing chunk i during an existence check).
   ColumnarChunk MakeChunk(size_t cap);
 
-  // Row-at-a-time writer used by the row-view adapter and OPTIONAL stitching.
+  // Row-at-a-time writer used by OPTIONAL stitching.
   void AppendRow(const VertexId* row);
 
   // Bag union: adopts `other`'s chunks (and arena references) without
@@ -129,10 +129,6 @@ class ColumnarTable {
   // Materializes selections: rewrites non-dense chunks with only their
   // active rows, in order, into this table's own arena.
   void Compact();
-
-  // Row-view adapter (§5.13). Round-trip preserves row order exactly.
-  BindingTable ToRows() const;
-  static ColumnarTable FromRows(const BindingTable& rows);
 
   size_t MemoryBytes() const;
 

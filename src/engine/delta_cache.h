@@ -69,9 +69,7 @@ class DeltaCache {
   // Stored-graph prefix table (the window-independent plan prefix). Valid
   // until the next epoch flush; the window never invalidates it. Tables are
   // columnar: Get/Put share chunks (and their arenas) with the caller rather
-  // than copying rows, per the §5.13 ownership rules. The row pipeline
-  // converts through the row-view adapter at this boundary, so contribution
-  // keys (BatchSeq) and row order are identical across pipelines.
+  // than copying rows, per the §5.13 ownership rules.
   bool GetPrefix(ColumnarTable* out) const;
   void PutPrefix(const ColumnarTable& table);
 

@@ -1,11 +1,12 @@
 #include "src/engine/executor.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <set>
-#include <unordered_set>
 #include <utility>
 
 #include "src/common/test_hooks.h"
@@ -90,8 +91,8 @@ class CachedCursor {
   std::vector<VertexId> scratch_;
 };
 
-// Shared FILTER predicate over one binding, identical across pipelines. Sets
-// *keep; fails when a numeric comparison has no string server to consult.
+// FILTER predicate over one binding. Sets *keep; fails when a numeric
+// comparison has no string server to consult.
 Status EvalFilter(const FilterExpr& f, VertexId v, const StringServer* strings,
                   bool* keep) {
   *keep = false;
@@ -134,158 +135,12 @@ Status EvalFilter(const FilterExpr& f, VertexId v, const StringServer* strings,
   return Status::Ok();
 }
 
-// Applies one triple pattern to a row-major `table`, producing the next table.
-Status ApplyPatternRow(const TriplePattern& p, const NeighborSource& src,
-                       BindingTable* table) {
-  const bool s_var = p.subject.is_var();
-  const bool o_var = p.object.is_var();
-  const int s_col = s_var ? table->ColumnOf(p.subject.var) : -1;
-  const int o_col = o_var ? table->ColumnOf(p.object.var) : -1;
-  const bool s_known = !s_var || s_col >= 0;
-  const bool o_known = !o_var || o_col >= 0;
-
-  const size_t old_cols = table->num_cols();
-  const size_t old_rows = table->num_rows();
-  std::vector<VertexId> nbrs;
-
-  auto subject_of = [&](size_t row) {
-    return s_var ? table->At(row, s_col) : p.subject.constant;
-  };
-  auto object_of = [&](size_t row) {
-    return o_var ? table->At(row, o_col) : p.object.constant;
-  };
-
-  if (s_known && o_known) {
-    // Existence check per row. SPARQL has bag semantics: a row joins once
-    // per matching edge, so multiplicity in the (stream) data is preserved.
-    BindingTable next;
-    for (int v : table->vars()) {
-      next.AddColumn(v);
-    }
-    if (old_cols == 0) {
-      // Unit table: single check on the constant endpoints.
-      nbrs.clear();
-      src.GetNeighbors(Key(p.subject.constant, p.predicate, Dir::kOut), &nbrs);
-      bool found = std::find(nbrs.begin(), nbrs.end(), p.object.constant) != nbrs.end();
-      if (!found) {
-        table->FailUnit();
-      }
-      return Status::Ok();
-    }
-    for (size_t r = 0; r < old_rows; ++r) {
-      nbrs.clear();
-      src.GetNeighbors(Key(subject_of(r), p.predicate, Dir::kOut), &nbrs);
-      size_t multiplicity = static_cast<size_t>(
-          std::count(nbrs.begin(), nbrs.end(), object_of(r)));
-      for (size_t m = 0; m < multiplicity; ++m) {
-        next.AppendRow(table->Row(r));
-      }
-    }
-    *table = std::move(next);
-    return Status::Ok();
-  }
-
-  if (s_known && !o_known) {
-    // Expand forward: bind the object variable.
-    BindingTable next;
-    for (int v : table->vars()) {
-      next.AddColumn(v);
-    }
-    next.AddColumn(p.object.var);
-    if (old_cols == 0) {
-      nbrs.clear();
-      src.GetNeighbors(Key(p.subject.constant, p.predicate, Dir::kOut), &nbrs);
-      for (VertexId nb : nbrs) {
-        next.AppendRowExtended(nullptr, 0, nb);
-      }
-    } else {
-      for (size_t r = 0; r < old_rows; ++r) {
-        nbrs.clear();
-        src.GetNeighbors(Key(subject_of(r), p.predicate, Dir::kOut), &nbrs);
-        for (VertexId nb : nbrs) {
-          next.AppendRowExtended(table->Row(r), old_cols, nb);
-        }
-      }
-    }
-    *table = std::move(next);
-    return Status::Ok();
-  }
-
-  if (!s_known && o_known) {
-    // Expand backward over in-edges: bind the subject variable.
-    BindingTable next;
-    for (int v : table->vars()) {
-      next.AddColumn(v);
-    }
-    next.AddColumn(p.subject.var);
-    if (old_cols == 0) {
-      nbrs.clear();
-      src.GetNeighbors(Key(p.object.constant, p.predicate, Dir::kIn), &nbrs);
-      for (VertexId nb : nbrs) {
-        next.AppendRowExtended(nullptr, 0, nb);
-      }
-    } else {
-      for (size_t r = 0; r < old_rows; ++r) {
-        nbrs.clear();
-        src.GetNeighbors(Key(object_of(r), p.predicate, Dir::kIn), &nbrs);
-        for (VertexId nb : nbrs) {
-          next.AppendRowExtended(table->Row(r), old_cols, nb);
-        }
-      }
-    }
-    *table = std::move(next);
-    return Status::Ok();
-  }
-
-  // Neither endpoint known: seed subjects from the index vertex (paper
-  // Fig. 6: [0|pid|out] lists every vertex with an outgoing pid edge), then
-  // expand to objects. Cartesian with any existing rows.
-  std::vector<VertexId> subjects;
-  src.GetNeighbors(Key(kIndexVertex, p.predicate, Dir::kOut), &subjects);
-
-  BindingTable next;
-  for (int v : table->vars()) {
-    next.AddColumn(v);
-  }
-  int new_s_col = next.AddColumn(p.subject.var);
-  (void)new_s_col;
-  // Two-step build: first bind subjects, then expand objects, to reuse the
-  // row machinery. Materialize intermediate rows directly.
-  BindingTable mid = std::move(next);
-  if (old_cols == 0) {
-    for (VertexId s : subjects) {
-      mid.AppendRowExtended(nullptr, 0, s);
-    }
-  } else {
-    for (size_t r = 0; r < old_rows; ++r) {
-      for (VertexId s : subjects) {
-        mid.AppendRowExtended(table->Row(r), old_cols, s);
-      }
-    }
-  }
-  // Now expand objects from the bound subject column.
-  BindingTable out;
-  for (int v : mid.vars()) {
-    out.AddColumn(v);
-  }
-  out.AddColumn(p.object.var);
-  int mid_s_col = mid.ColumnOf(p.subject.var);
-  for (size_t r = 0; r < mid.num_rows(); ++r) {
-    nbrs.clear();
-    src.GetNeighbors(Key(mid.At(r, mid_s_col), p.predicate, Dir::kOut), &nbrs);
-    for (VertexId nb : nbrs) {
-      out.AppendRowExtended(mid.Row(r), mid.num_cols(), nb);
-    }
-  }
-  *table = std::move(out);
-  return Status::Ok();
-}
-
 // --- Columnar scan-join (DESIGN.md §5.13) ----------------------------------
 //
 // Row enumeration order is the contract: every case below emits surviving
-// rows in exactly the order the row pipeline would (chunks in order, rows in
-// order, neighbors in order), so projected results stay byte-identical.
+// rows in a fixed order — chunks in order, rows in order, neighbors in
+// adjacency order — with each input row's output contiguous. The golden
+// corpus under tests/corpus/results/ pins it.
 
 // Two-pass batched expansion of one chunk (§5.13). Pass one (the caller's
 // scan) resolves each surviving row's adjacency span — through the pattern's
@@ -568,23 +423,22 @@ Status ApplyPatternColumnar(const TriplePattern& p, const NeighborSource& src,
   return Status::Ok();
 }
 
-// Pattern loop shared by both pipelines (they differ only in table type).
-template <typename Table, typename ApplyFn>
-StatusOr<Table> RunPatternLoop(const Query& q, const std::vector<int>& plan,
-                               const ExecContext& ctx, const StepHook& hook,
-                               const ApplyFn& apply) {
+}  // namespace
+
+StatusOr<ColumnarTable> ExecutePatterns(const Query& q, const std::vector<int>& plan,
+                                        const ExecContext& ctx,
+                                        const StepHook& hook) {
   if (plan.size() != q.patterns.size()) {
     return Status::Internal("plan does not cover all patterns");
   }
   obs::Tracer::Span span = StageSpan(ctx, "exec/patterns");
   span.Arg("patterns", static_cast<uint64_t>(plan.size()));
-  Table table;
+  ColumnarTable table;
   for (int idx : plan) {
     const TriplePattern& p = q.patterns[static_cast<size_t>(idx)];
-    const NeighborSource* src = SourceFor(ctx, p.graph);
     size_t rows_before = table.num_rows();
     size_t cols_before = table.num_cols();
-    Status s = apply(p, *src, &table);
+    Status s = ApplyPatternColumnar(p, *SourceFor(ctx, p.graph), &table);
     if (!s.ok()) {
       return s;
     }
@@ -600,52 +454,6 @@ StatusOr<Table> RunPatternLoop(const Query& q, const std::vector<int>& plan,
   }
   span.Arg("rows", static_cast<uint64_t>(table.num_rows()));
   return table;
-}
-
-}  // namespace
-
-StatusOr<BindingTable> ExecutePatternsRow(const Query& q, const std::vector<int>& plan,
-                                          const ExecContext& ctx,
-                                          const StepHook& hook) {
-  return RunPatternLoop<BindingTable>(q, plan, ctx, hook, ApplyPatternRow);
-}
-
-StatusOr<ColumnarTable> ExecutePatterns(const Query& q, const std::vector<int>& plan,
-                                        const ExecContext& ctx,
-                                        const StepHook& hook) {
-  return RunPatternLoop<ColumnarTable>(q, plan, ctx, hook, ApplyPatternColumnar);
-}
-
-Status ApplyFilters(const Query& q, const ExecContext& ctx, BindingTable* table) {
-  if (q.filters.empty() || table->num_cols() == 0) {
-    return Status::Ok();
-  }
-  obs::Tracer::Span span = StageSpan(ctx, "exec/filters");
-  span.Arg("filters", static_cast<uint64_t>(q.filters.size()))
-      .Arg("rows_in", static_cast<uint64_t>(table->num_rows()));
-  for (const FilterExpr& f : q.filters) {
-    int col = table->ColumnOf(f.var);
-    if (col < 0) {
-      return Status::InvalidArgument("FILTER references unbound variable ?" +
-                                     q.var_names[static_cast<size_t>(f.var)]);
-    }
-    BindingTable next;
-    for (int v : table->vars()) {
-      next.AddColumn(v);
-    }
-    for (size_t r = 0; r < table->num_rows(); ++r) {
-      bool keep = false;
-      Status s = EvalFilter(f, table->At(r, col), ctx.strings, &keep);
-      if (!s.ok()) {
-        return s;
-      }
-      if (keep) {
-        next.AppendRow(table->Row(r));
-      }
-    }
-    *table = std::move(next);
-  }
-  return Status::Ok();
 }
 
 Status ApplyFilters(const Query& q, const ExecContext& ctx, ColumnarTable* table) {
@@ -737,8 +545,10 @@ Status FinalizeSolution(const Query& q, const ExecContext& ctx,
       std::vector<std::pair<bool, uint64_t>> key;
       key.reserve(row.size());
       for (const ResultValue& v : row) {
+        // Numbers key on their exact value, with -0.0 folded into 0.0.
+        const double num = v.number == 0.0 ? 0.0 : v.number;
         key.emplace_back(v.is_number,
-                         v.is_number ? static_cast<uint64_t>(v.number * 1e6) : v.vid);
+                         v.is_number ? std::bit_cast<uint64_t>(num) : v.vid);
       }
       if (seen.insert(std::move(key)).second) {
         unique.push_back(std::move(row));
@@ -800,8 +610,7 @@ Status FinalizeSolution(const Query& q, const ExecContext& ctx,
 
 namespace {
 
-// Result column names (COUNT(x), SUM(x), ... wrappers), shared by both
-// projection implementations.
+// Result column names (COUNT(x), SUM(x), ... wrappers).
 void ProjectColumnNames(const Query& q, QueryResult* result) {
   for (const SelectItem& item : q.select) {
     std::string name = q.var_names[static_cast<size_t>(item.var)];
@@ -828,41 +637,11 @@ void ProjectColumnNames(const Query& q, QueryResult* result) {
   }
 }
 
-}  // namespace
-
-StatusOr<QueryResult> ProjectResult(const Query& q, const ExecContext& ctx,
-                                    const BindingTable& table) {
-  obs::Tracer::Span span = StageSpan(ctx, "exec/project");
-  span.Arg("rows_in", static_cast<uint64_t>(table.num_rows()));
-  QueryResult result;
-  ProjectColumnNames(q, &result);
-
-  if (table.num_rows() == 0) {
-    return result;  // Empty result; unbound select columns are moot.
-  }
-
-  if (!q.has_aggregates()) {
-    result.rows.reserve(table.num_rows());
-    std::vector<int> cols;
-    for (const SelectItem& item : q.select) {
-      int col = table.ColumnOf(item.var);
-      if (col < 0) {
-        return Status::InvalidArgument("selected variable is unbound");
-      }
-      cols.push_back(col);
-    }
-    for (size_t r = 0; r < table.num_rows(); ++r) {
-      std::vector<ResultValue> row;
-      row.reserve(cols.size());
-      for (int c : cols) {
-        row.push_back(ResultValue::Vertex(table.At(r, c)));
-      }
-      result.rows.push_back(std::move(row));
-    }
-    return result;
-  }
-
-  // Aggregation path. Group rows by the GROUP BY columns (or one big group).
+// GROUP BY / aggregate projection. Aggregation collapses the table to
+// per-group scalar state, so rows are walked once in table order; groups come
+// out in key order.
+Status ProjectAggregates(const Query& q, const ExecContext& ctx,
+                         const ColumnarTable& table, QueryResult* result) {
   std::vector<int> group_cols;
   for (int var : q.group_by) {
     int col = table.ColumnOf(var);
@@ -870,6 +649,18 @@ StatusOr<QueryResult> ProjectResult(const Query& q, const ExecContext& ctx,
       return Status::InvalidArgument("GROUP BY variable is unbound");
     }
     group_cols.push_back(col);
+  }
+  // Per select item: the aggregated column, or -1 for a plain variable.
+  std::vector<int> agg_cols(q.select.size(), -1);
+  for (size_t i = 0; i < q.select.size(); ++i) {
+    const SelectItem& item = q.select[i];
+    if (item.agg == AggKind::kNone) {
+      continue;
+    }
+    agg_cols[i] = table.ColumnOf(item.var);
+    if (agg_cols[i] < 0) {
+      return Status::InvalidArgument("aggregated variable is unbound");
+    }
   }
 
   struct AggState {
@@ -899,38 +690,31 @@ StatusOr<QueryResult> ProjectResult(const Query& q, const ExecContext& ctx,
     return true;
   };
 
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    std::vector<VertexId> gkey;
-    gkey.reserve(group_cols.size());
-    for (int c : group_cols) {
-      gkey.push_back(table.At(r, c));
+  std::vector<VertexId> gkey(group_cols.size());
+  table.ForEachActiveRow([&](const ColumnarChunk& ch, size_t r) {
+    for (size_t g = 0; g < group_cols.size(); ++g) {
+      gkey[g] = ch.cols[static_cast<size_t>(group_cols[g])][r];
     }
     auto& states = groups[gkey];
     states.resize(q.select.size());
     for (size_t i = 0; i < q.select.size(); ++i) {
-      const SelectItem& item = q.select[i];
-      if (item.agg == AggKind::kNone) {
+      if (agg_cols[i] < 0) {
         continue;
-      }
-      int col = table.ColumnOf(item.var);
-      if (col < 0) {
-        return Status::InvalidArgument("aggregated variable is unbound");
       }
       AggState& st = states[i];
       st.count += 1;
-      if (item.agg != AggKind::kCount) {
-        double num = 0.0;
-        if (numeric_value(table.At(r, col), &num)) {
-          st.sum += num;
-          st.min = st.seen ? std::min(st.min, num) : num;
-          st.max = st.seen ? std::max(st.max, num) : num;
-          st.seen = true;
-        }
+      double num = 0.0;
+      if (q.select[i].agg != AggKind::kCount &&
+          numeric_value(ch.cols[static_cast<size_t>(agg_cols[i])][r], &num)) {
+        st.sum += num;
+        st.min = st.seen ? std::min(st.min, num) : num;
+        st.max = st.seen ? std::max(st.max, num) : num;
+        st.seen = true;
       }
     }
-  }
+  });
 
-  for (const auto& [gkey, states] : groups) {
+  for (const auto& [key, states] : groups) {
     std::vector<ResultValue> row;
     row.reserve(q.select.size());
     for (size_t i = 0; i < q.select.size(); ++i) {
@@ -938,18 +722,13 @@ StatusOr<QueryResult> ProjectResult(const Query& q, const ExecContext& ctx,
       if (item.agg == AggKind::kNone) {
         // Plain variable in an aggregate query must be a GROUP BY key.
         int col = table.ColumnOf(item.var);
-        bool found = false;
-        for (size_t g = 0; g < group_cols.size(); ++g) {
-          if (group_cols[g] == col) {
-            row.push_back(ResultValue::Vertex(gkey[g]));
-            found = true;
-            break;
-          }
-        }
-        if (!found) {
+        auto g = std::find(group_cols.begin(), group_cols.end(), col);
+        if (col < 0 || g == group_cols.end()) {
           return Status::InvalidArgument(
               "non-aggregated select variable must appear in GROUP BY");
         }
+        row.push_back(ResultValue::Vertex(
+            key[static_cast<size_t>(g - group_cols.begin())]));
         continue;
       }
       const AggState& st = states[i];
@@ -974,20 +753,15 @@ StatusOr<QueryResult> ProjectResult(const Query& q, const ExecContext& ctx,
           break;
       }
     }
-    result.rows.push_back(std::move(row));
+    result->rows.push_back(std::move(row));
   }
-  return result;
+  return Status::Ok();
 }
+
+}  // namespace
 
 StatusOr<QueryResult> ProjectResult(const Query& q, const ExecContext& ctx,
                                     const ColumnarTable& table) {
-  if (q.has_aggregates()) {
-    // Aggregation collapses the table to per-group scalar state, so the
-    // per-row gather the columnar layout accelerates is not the cost here;
-    // project through the (order-preserving) row view and keep one
-    // implementation of the grouping semantics.
-    return ProjectResult(q, ctx, table.ToRows());
-  }
   obs::Tracer::Span span = StageSpan(ctx, "exec/project");
   span.Arg("rows_in", static_cast<uint64_t>(table.num_rows()));
   QueryResult result;
@@ -995,6 +769,13 @@ StatusOr<QueryResult> ProjectResult(const Query& q, const ExecContext& ctx,
 
   if (table.num_rows() == 0) {
     return result;  // Empty result; unbound select columns are moot.
+  }
+  if (q.has_aggregates()) {
+    Status s = ProjectAggregates(q, ctx, table, &result);
+    if (!s.ok()) {
+      return s;
+    }
+    return result;
   }
 
   result.rows.reserve(table.num_rows());
@@ -1019,62 +800,13 @@ StatusOr<QueryResult> ProjectResult(const Query& q, const ExecContext& ctx,
 
 namespace {
 
-// OPTIONAL group evaluation for one left-hand row: runs the group's patterns
-// seeded with the row's bindings and appends the joined (or unbound-padded)
-// rows to `next`. Shared by both pipelines; the per-row seed tables are tiny,
-// so the row machinery serves both.
-Status OptionalJoinRow(const std::vector<TriplePattern>& group,
-                       const ExecContext& ctx, const std::vector<int>& vars,
-                       const std::vector<int>& new_vars, const VertexId* row,
-                       size_t old_cols, std::vector<VertexId>* row_buffer,
-                       const std::function<void(const VertexId*)>& emit) {
-  BindingTable seed;
-  for (int v : vars) {
-    seed.AddColumn(v);
-  }
-  if (old_cols > 0) {
-    seed.AppendRow(row);
-  }
-  bool dead = false;
-  for (const TriplePattern& p : group) {
-    const NeighborSource* src = SourceFor(ctx, p.graph);
-    Status s = ApplyPatternRow(p, *src, &seed);
-    if (!s.ok()) {
-      return s;
-    }
-    if (seed.num_rows() == 0) {
-      dead = true;
-      break;
-    }
-  }
-  if (dead) {
-    // No match: keep the row; the group's variables stay unbound.
-    for (size_t c = 0; c < old_cols; ++c) {
-      (*row_buffer)[c] = row[c];
-    }
-    for (size_t c = old_cols; c < row_buffer->size(); ++c) {
-      (*row_buffer)[c] = kUnboundBinding;
-    }
-    emit(row_buffer->data());
-    return Status::Ok();
-  }
-  for (size_t sr = 0; sr < seed.num_rows(); ++sr) {
-    for (size_t c = 0; c < old_cols; ++c) {
-      (*row_buffer)[c] = row[c];
-    }
-    for (size_t c = 0; c < new_vars.size(); ++c) {
-      int col = seed.ColumnOf(new_vars[c]);
-      (*row_buffer)[old_cols + c] = col >= 0 ? seed.At(sr, col) : kUnboundBinding;
-    }
-    emit(row_buffer->data());
-  }
-  return Status::Ok();
-}
+// Hidden column of the batched OPTIONAL join: each seed row's index among
+// the left table's active rows. No query variable can take this slot.
+constexpr int kLeftRowVar = std::numeric_limits<int>::min();
 
 // Variables an OPTIONAL group introduces on top of the current bindings.
-template <typename Table>
 std::vector<int> OptionalNewVars(const std::vector<TriplePattern>& group,
-                                 const Table& table) {
+                                 const ColumnarTable& table) {
   std::vector<int> new_vars;
   for (const TriplePattern& p : group) {
     for (const Term* t : {&p.subject, &p.object}) {
@@ -1087,95 +819,120 @@ std::vector<int> OptionalNewVars(const std::vector<TriplePattern>& group,
   return new_vars;
 }
 
-}  // namespace
-
-Status ApplyOptionals(const Query& q, const ExecContext& ctx, BindingTable* table) {
-  for (const std::vector<TriplePattern>& group : q.optionals) {
-    std::vector<int> new_vars = OptionalNewVars(group, *table);
-    BindingTable next;
-    for (int v : table->vars()) {
-      next.AddColumn(v);
-    }
-    for (int v : new_vars) {
-      next.AddColumn(v);
-    }
-    const size_t old_cols = table->num_cols();
-    std::vector<VertexId> row_buffer(next.num_cols());
-    auto emit = [&](const VertexId* r) { next.AppendRow(r); };
-    for (size_t r = 0; r < table->num_rows(); ++r) {
-      const VertexId* row = old_cols > 0 ? table->Row(r) : nullptr;
-      Status s = OptionalJoinRow(group, ctx, table->vars(), new_vars, row,
-                                 old_cols, &row_buffer, emit);
-      if (!s.ok()) {
-        return s;
-      }
-    }
-    *table = std::move(next);
+// One OPTIONAL group as a batched left join. The left table's active rows
+// are copied into a dense seed table with a hidden left-row-index column,
+// the group's patterns run once over the whole seed, and every left row is
+// then merged with its matches — or, with none, one row whose new variables
+// are unbound. Pattern application keeps input row order and expands each
+// row in place, so a left row's matches are contiguous, in the order a
+// per-row evaluation would produce, and the output order is: left rows in
+// order, each followed directly by its matches.
+Status OptionalJoin(const std::vector<TriplePattern>& group,
+                    const ExecContext& ctx, ColumnarTable* table) {
+  ColumnarTable next;
+  for (int v : table->vars()) {
+    next.AddColumn(v);
   }
+  const std::vector<int> new_vars = OptionalNewVars(group, *table);
+  for (int v : new_vars) {
+    next.AddColumn(v);
+  }
+  const size_t left_rows = table->num_rows();
+  if (next.num_cols() == 0) {
+    // Unit table, constant-only group: a left join never drops the row, and
+    // a zero-column table cannot carry match multiplicity.
+    return Status::Ok();
+  }
+  if (left_rows == 0) {
+    *table = std::move(next);  // Empty, but the group's variables are known.
+    return Status::Ok();
+  }
+  const size_t old_cols = table->num_cols();
+
+  ColumnarTable seed;
+  for (int v : table->vars()) {
+    seed.AddColumn(v);
+  }
+  seed.AddColumn(kLeftRowVar);
+  ColumnarChunk* sc = seed.StartChunk(left_rows);
+  uint32_t at = 0;
+  if (old_cols == 0) {
+    sc->cols[0][0] = 0;  // The unit table's single implicit row.
+    at = 1;
+  } else {
+    table->ForEachActiveRow([&](const ColumnarChunk& ch, size_t r) {
+      for (size_t c = 0; c < old_cols; ++c) {
+        sc->cols[c][at] = ch.cols[c][r];
+      }
+      sc->cols[old_cols][at] = at;
+      ++at;
+    });
+  }
+  sc->size = at;
+  // The left rows, for padding unmatched ones: this copy keeps the seed's
+  // chunk (and its arena) alive after pattern application replaces `seed`.
+  const ColumnarTable left = seed;
+
+  for (const TriplePattern& p : group) {
+    Status s = ApplyPatternColumnar(p, *SourceFor(ctx, p.graph), &seed);
+    if (!s.ok()) {
+      return s;
+    }
+    if (seed.num_rows() == 0) {
+      break;  // No left row matches the group.
+    }
+  }
+
+  const int idx_col = seed.ColumnOf(kLeftRowVar);
+  std::vector<int> new_cols;
+  for (int v : new_vars) {
+    new_cols.push_back(seed.ColumnOf(v));
+  }
+  std::vector<VertexId> row(next.num_cols());
+  const std::vector<VertexId*>& left_cols = left.chunks()[0].cols;
+  size_t next_left = 0;
+  auto pad_until = [&](size_t end) {
+    for (; next_left < end; ++next_left) {
+      for (size_t c = 0; c < old_cols; ++c) {
+        row[c] = left_cols[c][next_left];
+      }
+      std::fill(row.begin() + static_cast<ptrdiff_t>(old_cols), row.end(),
+                kUnboundBinding);
+      next.AppendRow(row.data());
+    }
+  };
+  seed.ForEachActiveRow([&](const ColumnarChunk& ch, size_t r) {
+    const size_t li = ch.cols[static_cast<size_t>(idx_col)][r];
+    pad_until(li);  // Unmatched left rows before this one.
+    next_left = li + 1;
+    for (size_t c = 0; c < old_cols; ++c) {
+      row[c] = ch.cols[c][r];
+    }
+    for (size_t c = 0; c < new_cols.size(); ++c) {
+      row[old_cols + c] = ch.cols[static_cast<size_t>(new_cols[c])][r];
+    }
+    next.AppendRow(row.data());
+  });
+  pad_until(left_rows);
+  *table = std::move(next);
   return Status::Ok();
 }
 
+}  // namespace
+
 Status ApplyOptionals(const Query& q, const ExecContext& ctx, ColumnarTable* table) {
   for (const std::vector<TriplePattern>& group : q.optionals) {
-    std::vector<int> new_vars = OptionalNewVars(group, *table);
-    ColumnarTable next;
-    for (int v : table->vars()) {
-      next.AddColumn(v);
+    Status s = OptionalJoin(group, ctx, table);
+    if (!s.ok()) {
+      return s;
     }
-    for (int v : new_vars) {
-      next.AddColumn(v);
-    }
-    const size_t old_cols = table->num_cols();
-    std::vector<VertexId> row_buffer(next.num_cols());
-    std::vector<VertexId> left(old_cols);
-    auto emit = [&](const VertexId* r) { next.AppendRow(r); };
-    Status err = Status::Ok();
-    if (old_cols == 0) {
-      // Unit table: zero-column tables hold no chunks, so drive the single
-      // implicit row (if it survived) directly.
-      for (size_t r = 0; r < table->num_rows(); ++r) {
-        err = OptionalJoinRow(group, ctx, table->vars(), new_vars, nullptr, 0,
-                              &row_buffer, emit);
-        if (!err.ok()) {
-          return err;
-        }
-      }
-    } else {
-      table->ForEachActiveRow([&](const ColumnarChunk& ch, size_t r) -> bool {
-        for (size_t c = 0; c < old_cols; ++c) {
-          left[c] = ch.cols[c][r];
-        }
-        err = OptionalJoinRow(group, ctx, table->vars(), new_vars, left.data(),
-                              old_cols, &row_buffer, emit);
-        return err.ok();
-      });
-      if (!err.ok()) {
-        return err;
-      }
-    }
-    *table = std::move(next);
   }
   return Status::Ok();
 }
 
 StatusOr<QueryResult> ExecutePipeline(const Query& q, const std::vector<int>& plan,
                                       const ExecContext& ctx, const StepHook& hook) {
-  if (ctx.columnar) {
-    auto table = ExecutePatterns(q, plan, ctx, hook);
-    if (!table.ok()) {
-      return table.status();
-    }
-    Status os = ApplyOptionals(q, ctx, &table.value());
-    if (!os.ok()) {
-      return os;
-    }
-    Status fs = ApplyFilters(q, ctx, &table.value());
-    if (!fs.ok()) {
-      return fs;
-    }
-    return ProjectResult(q, ctx, table.value());
-  }
-  auto table = ExecutePatternsRow(q, plan, ctx, hook);
+  auto table = ExecutePatterns(q, plan, ctx, hook);
   if (!table.ok()) {
     return table.status();
   }
@@ -1190,13 +947,20 @@ StatusOr<QueryResult> ExecutePipeline(const Query& q, const std::vector<int>& pl
   return ProjectResult(q, ctx, table.value());
 }
 
-namespace {
-
-StatusOr<DeltaTable> ExecuteDeltaPatternsColumnar(const Query& q,
-                                                  const std::vector<int>& plan,
-                                                  const ExecContext& ctx,
-                                                  const DeltaSpec& spec,
-                                                  obs::Tracer::Span& span) {
+StatusOr<DeltaTable> ExecuteDeltaPatterns(const Query& q,
+                                          const std::vector<int>& plan,
+                                          const ExecContext& ctx,
+                                          const DeltaSpec& spec) {
+  if (plan.size() != q.patterns.size()) {
+    return Status::Internal("plan does not cover all patterns");
+  }
+  if (spec.cache == nullptr || spec.window_pos >= plan.size() ||
+      !spec.slice_source) {
+    return Status::Internal("delta execution without a cache or window split");
+  }
+  obs::Tracer::Span span = StageSpan(ctx, "exec/delta");
+  span.Arg("batches", static_cast<uint64_t>(spec.batches.size()))
+      .Arg("patterns", static_cast<uint64_t>(plan.size()));
   // Stored-graph prefix: window-independent, so one table serves every slice
   // and every trigger until an epoch flush.
   ColumnarTable prefix;
@@ -1294,120 +1058,6 @@ StatusOr<DeltaTable> ExecuteDeltaPatternsColumnar(const Query& q,
   return out;
 }
 
-StatusOr<DeltaTable> ExecuteDeltaPatternsRow(const Query& q,
-                                             const std::vector<int>& plan,
-                                             const ExecContext& ctx,
-                                             const DeltaSpec& spec,
-                                             obs::Tracer::Span& span) {
-  // Row twin of the delta pipeline. The cache stores columnar tables in both
-  // modes (the DeltaCache value type is the chunk layout); the row view
-  // adapter converts at the cache boundary with row order preserved.
-  BindingTable prefix;
-  ColumnarTable cached;
-  if (spec.cache->GetPrefix(&cached)) {
-    prefix = cached.ToRows();
-  } else {
-    for (size_t i = 0; i < spec.window_pos; ++i) {
-      const TriplePattern& p = q.patterns[static_cast<size_t>(plan[i])];
-      Status s = ApplyPatternRow(p, *SourceFor(ctx, p.graph), &prefix);
-      if (!s.ok()) {
-        return s;
-      }
-      if (prefix.num_rows() == 0) {
-        break;
-      }
-    }
-    spec.cache->PutPrefix(ColumnarTable::FromRows(prefix));
-  }
-
-  DeltaTable out;
-  BindingTable union_rows;
-  const TriplePattern& wp =
-      q.patterns[static_cast<size_t>(plan[spec.window_pos])];
-  if (prefix.num_rows() > 0) {
-    for (BatchSeq b : spec.batches) {
-      BindingTable contrib;
-      if (spec.cache->GetContribution(b, &cached)) {
-        ++out.slices_cached;
-        contrib = cached.ToRows();
-      } else {
-        ++out.slices_fresh;
-        contrib = prefix;
-        Status s = ApplyPatternRow(wp, *spec.slice_source(b), &contrib);
-        if (!s.ok()) {
-          return s;
-        }
-        for (size_t i = spec.window_pos + 1;
-             i < plan.size() && contrib.num_rows() > 0; ++i) {
-          const TriplePattern& p = q.patterns[static_cast<size_t>(plan[i])];
-          s = ApplyPatternRow(p, *SourceFor(ctx, p.graph), &contrib);
-          if (!s.ok()) {
-            return s;
-          }
-        }
-        if (contrib.num_rows() > 0) {
-          Status os = ApplyOptionals(q, ctx, &contrib);
-          if (!os.ok()) {
-            return os;
-          }
-          Status fs = ApplyFilters(q, ctx, &contrib);
-          if (!fs.ok()) {
-            return fs;
-          }
-        }
-        spec.cache->PutContribution(b, ColumnarTable::FromRows(contrib));
-      }
-      if (contrib.num_rows() == 0) {
-        continue;
-      }
-      if (contrib.num_cols() == 0) {
-        out.fallback = true;
-        return out;
-      }
-      if (union_rows.num_cols() == 0) {
-        for (int v : contrib.vars()) {
-          union_rows.AddColumn(v);
-        }
-      }
-      assert(contrib.num_cols() == union_rows.num_cols());
-      for (size_t r = 0; r < contrib.num_rows(); ++r) {
-        union_rows.AppendRow(contrib.Row(r));
-      }
-    }
-  }
-  if (union_rows.num_cols() == 0) {
-    union_rows.FailUnit();
-    out.fallback = !q.filters.empty();
-  }
-  out.table = ColumnarTable::FromRows(union_rows);
-  span.Arg("cached", out.slices_cached)
-      .Arg("fresh", out.slices_fresh)
-      .Arg("rows", static_cast<uint64_t>(out.table.num_rows()));
-  return out;
-}
-
-}  // namespace
-
-StatusOr<DeltaTable> ExecuteDeltaPatterns(const Query& q,
-                                          const std::vector<int>& plan,
-                                          const ExecContext& ctx,
-                                          const DeltaSpec& spec) {
-  if (plan.size() != q.patterns.size()) {
-    return Status::Internal("plan does not cover all patterns");
-  }
-  if (spec.cache == nullptr || spec.window_pos >= plan.size() ||
-      !spec.slice_source) {
-    return Status::Internal("delta execution without a cache or window split");
-  }
-  obs::Tracer::Span span = StageSpan(ctx, "exec/delta");
-  span.Arg("batches", static_cast<uint64_t>(spec.batches.size()))
-      .Arg("patterns", static_cast<uint64_t>(plan.size()));
-  if (ctx.columnar) {
-    return ExecuteDeltaPatternsColumnar(q, plan, ctx, spec, span);
-  }
-  return ExecuteDeltaPatternsRow(q, plan, ctx, spec, span);
-}
-
 StatusOr<QueryResult> ExecuteQuery(const Query& q, const std::vector<int>& plan,
                                    const ExecContext& ctx) {
   auto result = ExecutePipeline(q, plan, ctx);
@@ -1461,16 +1111,19 @@ StatusOr<QueryResult> ProjectMemberFromProbe(
   // Rebuild the member's pre-projection binding table from its partition:
   // column v (the member's variable slot) takes the probe column that bound
   // the same canonical variable. Unbound OPTIONAL markers round-trip as-is.
-  BindingTable table;
+  ColumnarTable table;
   for (size_t v = 0; v < var_to_probe_col.size(); ++v) {
     table.AddColumn(static_cast<int>(v));
   }
-  std::vector<VertexId> row(var_to_probe_col.size());
-  for (size_t r : member_rows) {
+  if (table.num_cols() > 0 && !member_rows.empty()) {
+    ColumnarChunk* ch = table.StartChunk(member_rows.size());
     for (size_t v = 0; v < var_to_probe_col.size(); ++v) {
-      row[v] = probe.rows[r][static_cast<size_t>(var_to_probe_col[v])].vid;
+      const size_t col = static_cast<size_t>(var_to_probe_col[v]);
+      for (size_t i = 0; i < member_rows.size(); ++i) {
+        ch->cols[v][i] = probe.rows[member_rows[i]][col].vid;
+      }
     }
-    table.AppendRow(row.data());
+    ch->size = member_rows.size();
   }
   auto result = ProjectResult(q, ctx, table);
   if (!result.ok()) {

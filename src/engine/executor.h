@@ -6,13 +6,12 @@
 // inside the NeighborSource implementations (paper §5 "in-place execution"),
 // so pattern evaluation here is pure exploration.
 //
-// Two pipelines share this interface (DESIGN.md §5.13). The primary pipeline
-// carries bindings in column-major ColumnarTables — pattern expansion is a
-// batched scan-join over arena-allocated id columns, and pruning steps only
-// touch selection vectors. The legacy row-major pipeline (the *Row entry
-// points) is kept bit-for-bit: the differential harness runs both on the same
-// seeds and demands byte-identical projected results, and the composite
-// baselines deliberately keep the row path to model the pre-refactor engine.
+// Bindings travel in column-major ColumnarTables (DESIGN.md §5.13): pattern
+// expansion is a batched scan-join over arena-allocated id columns, pruning
+// steps only touch selection vectors, and OPTIONAL groups run as one batched
+// left join per group. Row enumeration order is deterministic and pinned by
+// the golden corpus under tests/corpus/results/; the differential harness
+// checks results against the independent testkit ReferenceOracle.
 
 #ifndef SRC_ENGINE_EXECUTOR_H_
 #define SRC_ENGINE_EXECUTOR_H_
@@ -21,10 +20,10 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/engine/binding.h"
 #include "src/engine/columnar.h"
 #include "src/engine/delta_cache.h"
 #include "src/engine/neighbor_source.h"
+#include "src/engine/result.h"
 #include "src/obs/trace.h"
 #include "src/rdf/string_server.h"
 #include "src/sparql/ast.h"
@@ -40,10 +39,6 @@ struct ExecContext {
   // null = tracing off. `trace_node` is the executing node for the tid field.
   obs::Tracer* tracer = nullptr;
   uint32_t trace_node = 0;
-  // Pipeline selector for the entry points that dispatch (ExecutePipeline,
-  // ExecuteQuery, ExecuteDeltaPatterns). The row pipeline exists for the
-  // columnar-vs-row differential twin and the composite baselines.
-  bool columnar = true;
   // Passive per-step statistics observer (§5.14): invoked with the same
   // arguments as the caller's StepHook after every pattern step, regardless
   // of which engine (fork-join or in-place) supplied a hook. The cluster
@@ -57,11 +52,9 @@ struct ExecContext {
 
 // Per-step observer: invoked after each pattern with the pattern, the table
 // shape before the step, and the row count after. Fork-join engines use it to
-// charge per-step shipping costs. Both pipelines report identical numbers.
+// charge per-step shipping costs.
 using StepHook = std::function<void(const TriplePattern& pattern, size_t rows_before,
                                     size_t cols_before, size_t rows_after)>;
-
-// --- Columnar pipeline (primary) -------------------------------------------
 
 // Executes patterns in `plan` order (indices into q.patterns) and returns the
 // columnar binding table before projection.
@@ -71,7 +64,8 @@ StatusOr<ColumnarTable> ExecutePatterns(const Query& q, const std::vector<int>& 
 
 // Left-joins each of q.optionals onto `table`: rows extend with the group's
 // bindings when the group matches, otherwise keep their bindings with the
-// group's new variables set to kUnboundBinding.
+// group's new variables set to kUnboundBinding. Each left row's matches
+// follow it directly, in left-row order.
 Status ApplyOptionals(const Query& q, const ExecContext& ctx, ColumnarTable* table);
 
 // Applies q.filters to `table` in place. Pure selection: dropped rows leave
@@ -82,27 +76,14 @@ Status ApplyFilters(const Query& q, const ExecContext& ctx, ColumnarTable* table
 StatusOr<QueryResult> ProjectResult(const Query& q, const ExecContext& ctx,
                                     const ColumnarTable& table);
 
-// --- Row pipeline (legacy / baselines / differential twin) -----------------
-
-StatusOr<BindingTable> ExecutePatternsRow(const Query& q, const std::vector<int>& plan,
-                                          const ExecContext& ctx,
-                                          const StepHook& hook = {});
-Status ApplyOptionals(const Query& q, const ExecContext& ctx, BindingTable* table);
-Status ApplyFilters(const Query& q, const ExecContext& ctx, BindingTable* table);
-StatusOr<QueryResult> ProjectResult(const Query& q, const ExecContext& ctx,
-                                    const BindingTable& table);
-
-// --- Shared tail + dispatch ------------------------------------------------
-
 // Applies the solution-sequence modifiers (DISTINCT, ORDER BY, LIMIT).
 // Separate from ProjectResult so UNION branches can be projected first and
 // modified once after concatenation.
 Status FinalizeSolution(const Query& q, const ExecContext& ctx,
                         QueryResult* result);
 
-// Runs patterns -> optionals -> filters -> projection on the pipeline
-// selected by ctx.columnar. Solution modifiers are left to the caller (UNION
-// branches concatenate first).
+// Runs patterns -> optionals -> filters -> projection. Solution modifiers are
+// left to the caller (UNION branches concatenate first).
 StatusOr<QueryResult> ExecutePipeline(const Query& q, const std::vector<int>& plan,
                                       const ExecContext& ctx,
                                       const StepHook& hook = {});
@@ -150,10 +131,8 @@ struct DeltaSpec {
 };
 
 struct DeltaTable {
-  // Union of contributions, post OPTIONALs + FILTERs. Columnar in both
-  // pipeline modes: the union adopts cached chunks without copying, and the
-  // row pipeline converts through the row-view adapter at the cache boundary
-  // (contribution keys and row order are unchanged).
+  // Union of contributions, post OPTIONALs + FILTERs, in ascending slice
+  // order. The union adopts cached chunks without copying.
   ColumnarTable table;
   // Union came out empty while the query carries FILTERs: the caller must
   // fall back to the cold path so early-exit error semantics (FILTER over a

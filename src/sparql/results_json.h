@@ -14,7 +14,7 @@
 #include <string>
 
 #include "src/common/status.h"
-#include "src/engine/binding.h"
+#include "src/engine/result.h"
 #include "src/rdf/string_server.h"
 
 namespace wukongs {

@@ -31,9 +31,9 @@ struct PlanHints {
   bool delta_cache = false;
   // Rows per columnar chunk (§5.13). Bound-variable expansion is batched per
   // chunk, so its cost scales with how many chunk-granular gather passes the
-  // seed set fills, not with the raw seed count the row executor paid per
-  // row. 0 selects the legacy row-count estimate (used by the composite
-  // baselines, which keep the row pipeline). Whatever the chunk size, the
+  // seed set fills, not with the raw seed count a row-at-a-time executor
+  // pays. 0 selects the row-count estimate (the planner model of the
+  // composite baselines, e.g. Wukong/Ext). Whatever the chunk size, the
   // chunked estimate can never exceed the row estimate for the same seed
   // population; EstimatePatternCost reconciles the two (asserting in debug
   // builds) so they cannot disagree silently.

@@ -1,6 +1,7 @@
 #include "src/testkit/reference_oracle.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -10,7 +11,7 @@ namespace wukongs::testkit {
 namespace {
 
 // The oracle's working table. Mirrors the *semantics* of the engine's
-// BindingTable (zero-column tables have one implicit unit row until failed)
+// ColumnarTable (zero-column tables have one implicit unit row until failed)
 // without sharing its code: rows are plain vectors, joins are nested loops.
 struct Table {
   std::vector<int> vars;
@@ -382,9 +383,10 @@ Status Finalize(const Query& q, const StringServer* strings,
       std::vector<std::pair<bool, uint64_t>> key;
       key.reserve(row.size());
       for (const ResultValue& v : row) {
+        // Exact numeric identity; -0.0 and 0.0 are the same value.
+        const double num = v.number == 0.0 ? 0.0 : v.number;
         key.emplace_back(v.is_number,
-                         v.is_number ? static_cast<uint64_t>(v.number * 1e6)
-                                     : v.vid);
+                         v.is_number ? std::bit_cast<uint64_t>(num) : v.vid);
       }
       if (seen.insert(std::move(key)).second) {
         unique.push_back(std::move(row));

@@ -35,7 +35,7 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/engine/binding.h"
+#include "src/engine/result.h"
 #include "src/rdf/string_server.h"
 #include "src/rdf/triple.h"
 #include "src/sparql/ast.h"

@@ -4,10 +4,9 @@
 // the executor's batched kernels rely on: selection vectors strictly
 // increasing and in-bounds, every column of a chunk the same length, arena
 // lifetime spanning chunk handoff (AppendTable, copies, cache-style sharing),
-// and the row-view adapter round-tripping with row order intact. The
-// vectorized kernels are checked against scalar references, and the §5.13
-// arena-sharing semantics behind the `stale_arena_reuse` planted mutation are
-// pinned deterministically.
+// and zero-column unit-table semantics. The vectorized kernels are checked
+// against scalar references, and the §5.13 arena-sharing semantics behind the
+// `stale_arena_reuse` planted mutation are pinned deterministically.
 
 #include <gtest/gtest.h>
 
@@ -35,14 +34,6 @@ RowVec Flatten(const ColumnarTable& t) {
     }
     out.push_back(std::move(row));
   });
-  return out;
-}
-
-RowVec Flatten(const BindingTable& t) {
-  RowVec out;
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    out.emplace_back(t.Row(r), t.Row(r) + t.num_cols());
-  }
   return out;
 }
 
@@ -198,47 +189,17 @@ TEST(ColumnarChunkTest, RandomizedPipelinesKeepChunkInvariants) {
   }
 }
 
-TEST(ColumnarChunkTest, RowViewRoundTripPreservesOrder) {
-  for (uint64_t seed = 1; seed <= 40; ++seed) {
-    Rng rng(seed * 977);
-    const size_t ncols = rng.Uniform(1, 4);
-    ColumnarTable t;
-    for (size_t c = 0; c < ncols; ++c) {
-      t.AddColumn(static_cast<int>(c) + 2);  // Non-trivial var slots.
-    }
-    RowVec model;
-    BuildRandom(&rng, ncols, rng.Uniform(0, 120), &t, &model);
-    if (rng.Bernoulli(0.6)) {
-      FilterBoth(&t, &model, static_cast<VertexId>(rng.Uniform(2, 4)));
-    }
-
-    BindingTable rows = t.ToRows();
-    ASSERT_EQ(rows.vars(), t.vars()) << "seed " << seed;
-    ASSERT_EQ(Flatten(rows), model) << "seed " << seed << ": row view lost "
-                                    << "content or order";
-    ColumnarTable back = ColumnarTable::FromRows(rows);
-    ASSERT_TRUE(ChunkInvariantsHold(back)) << "seed " << seed;
-    ASSERT_EQ(back.vars(), t.vars()) << "seed " << seed;
-    ASSERT_EQ(Flatten(back), model) << "seed " << seed << ": round trip "
-                                    << "diverged";
-  }
-}
-
-TEST(ColumnarChunkTest, RowViewKeepsUnitTableSemantics) {
-  // A zero-column table is one implicit row until failed, exactly like
-  // BindingTable — and the adapter must carry that bit both ways.
+TEST(ColumnarChunkTest, ZeroColumnTableIsOneUnitRowUntilFailed) {
+  // A zero-column table is the algebra of an empty graph pattern: one
+  // implicit row, until a constant-only pattern fails it. Copies carry the
+  // bit.
   ColumnarTable unit;
   EXPECT_EQ(unit.num_rows(), 1u);
-  EXPECT_EQ(unit.ToRows().num_rows(), 1u);
+  EXPECT_EQ(ColumnarTable(unit).num_rows(), 1u);
   unit.FailUnit();
   EXPECT_EQ(unit.num_rows(), 0u);
-  EXPECT_EQ(unit.ToRows().num_rows(), 0u);
-
-  BindingTable alive;
-  EXPECT_EQ(ColumnarTable::FromRows(alive).num_rows(), 1u);
-  BindingTable dead;
-  dead.FailUnit();
-  EXPECT_EQ(ColumnarTable::FromRows(dead).num_rows(), 0u);
+  EXPECT_TRUE(unit.unit_failed());
+  EXPECT_EQ(ColumnarTable(unit).num_rows(), 0u);
 }
 
 TEST(ColumnarChunkTest, AdoptedChunksOutliveTheBuilder) {

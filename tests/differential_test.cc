@@ -72,18 +72,19 @@ struct RunConfig {
   // with real dual-apply, node adds, drains, target crashes with rollback)
   // from the advance path while the differential contract keeps holding.
   bool migrate = false;
-  // Columnar lane (§5.13): replay the same trace against a second cluster
-  // running the legacy row pipeline and require every projected result to be
-  // byte-identical — same rows, same order, same values — to the columnar
-  // primary. Not combined with `migrate` (the twin carries no shard-map).
-  bool row_twin = false;
+  // Columnar lane (§5.13): pin in-place execution. The generated continuous
+  // queries are mostly non-selective, and non-selective triggers take
+  // fork-join, which bypasses the delta path entirely; cached columnar
+  // contributions are where the stale_arena_reuse defect class lives, so
+  // this lane forces the route the delta gate requires.
+  bool in_place = false;
   // Adaptive lane (§5.14): the primary runs with cost-based re-planning
   // enabled while a statically-planned twin replays the same events. Plans
   // may differ after a parity-gated cutover — row enumeration order with
   // them — so the twin contract is bag equality, not byte identity. The
   // trace carries a deterministic mid-run rate step (MakeAdaptiveTrace) so
   // drift genuinely fires. Composable with `migrate` (the twin is
-  // ownership-agnostic and never migrates) but not with `row_twin`.
+  // ownership-agnostic and never migrates).
   bool adaptive = false;
   // Adaptive lane: accumulates the primary's replan counters across seeds so
   // the test can prove the machinery was exercised, not just survived.
@@ -306,12 +307,7 @@ Status RunTrace(const RunConfig& cfg, const std::vector<Event>& trace) {
   config.nodes = cfg.nodes;
   config.batch_interval_ms = kInterval;
   config.batches_per_sn = cfg.batches_per_sn;
-  // The twin lane pins in-place execution on both clusters: the generated
-  // continuous queries are mostly non-selective, and non-selective triggers
-  // take fork-join — which bypasses the delta path entirely. Columnar-vs-row
-  // contribution caching is exactly where the stale_arena_reuse defect class
-  // lives, so the lane forces the route the delta gate requires.
-  config.force_in_place = cfg.row_twin;
+  config.force_in_place = cfg.in_place;
   if (cfg.adaptive) {
     // Same knobs the planner lane uses: check every trigger, judge rates over
     // a window short enough that the trace's mid-run step is visible before
@@ -375,27 +371,21 @@ Status RunTrace(const RunConfig& cfg, const std::vector<Event>& trace) {
   oracle.LoadBase(base);
   SnapshotChecker checker(cfg.batches_per_sn);
 
-  // Columnar-vs-row twin (§5.13): a second cluster, identical except for the
-  // executor pipeline, replays the same events. Both clusters intern the same
-  // names in the same order (streams, base, then trace order), so vertex ids
-  // line up and results can be compared byte-for-byte: the columnar executor
-  // promises the exact row enumeration order of the row pipeline, not just
-  // the same bag.
+  // Adaptive lane (§5.14): a second cluster, identical except that
+  // re-planning stays off, replays the same events. It keeps each
+  // registration's first plan for the whole trace, the oracle for "cutovers
+  // must not change what is delivered". Both clusters intern the same names
+  // in the same order (streams, base, then trace order), so vertex ids line
+  // up across them.
   std::unique_ptr<ScheduleController> twin_sched;
   std::unique_ptr<Cluster> twin;
   std::vector<StreamId> twin_sids;
   std::vector<Cluster::ContinuousHandle> twin_handles;
-  if (cfg.row_twin || cfg.adaptive) {
+  if (cfg.adaptive) {
     ClusterConfig twin_config;
     twin_config.nodes = cfg.nodes;
     twin_config.batch_interval_ms = kInterval;
     twin_config.batches_per_sn = cfg.batches_per_sn;
-    // Adaptive lane (§5.14): the twin differs from the primary only in that
-    // re-planning stays off — it keeps each registration's first plan for the
-    // whole trace, the oracle for "cutovers must not change what is
-    // delivered".
-    twin_config.columnar_executor = !cfg.row_twin;
-    twin_config.force_in_place = cfg.row_twin;
     if (cfg.fuzz_schedule) {
       twin_sched = std::make_unique<ScheduleController>(cfg.seed);
       twin_config.schedule = twin_sched.get();
@@ -411,66 +401,41 @@ Status RunTrace(const RunConfig& cfg, const std::vector<Event>& trace) {
     twin->LoadBase(MakeBase(cfg.seed, twin->strings(), vocab));
   }
 
-  auto same_bytes = [](const QueryResult& a, const QueryResult& b) {
-    if (a.rows.size() != b.rows.size()) {
-      return false;
-    }
-    for (size_t i = 0; i < a.rows.size(); ++i) {
-      if (a.rows[i].size() != b.rows[i].size()) {
-        return false;
-      }
-      for (size_t j = 0; j < a.rows[i].size(); ++j) {
-        const ResultValue& x = a.rows[i][j];
-        const ResultValue& y = b.rows[i][j];
-        if (x.is_number != y.is_number ||
-            (x.is_number ? x.number != y.number : x.vid != y.vid)) {
-          return false;
-        }
-      }
-    }
-    return true;
-  };
-  // Row twin: both pipelines share the planner and raise identical errors at
-  // identical points, so even failures must agree — a status divergence is a
-  // defect and results must match byte for byte. Adaptive twin: the primary
-  // may serve a different (parity-gated) plan, so the contract weakens to bag
-  // equality, and a status split is legal only in the one plan-order-sensitive
-  // case the oracle comparison also tolerates: the early-exit empty-join
-  // rejection (kInvalidArgument) on one side against an *empty* result on the
-  // other. An empty join under one order is empty under every order, so a
-  // non-empty result opposite a rejection is a real divergence.
-  auto twin_check = [&](const StatusOr<QueryExecution>& col,
-                        const StatusOr<QueryExecution>& row,
+  // The primary may serve a different (parity-gated) plan, so the twin
+  // contract is bag equality, and a status split is legal only in the one
+  // plan-order-sensitive case the oracle comparison also tolerates: the
+  // early-exit empty-join rejection (kInvalidArgument) on one side against an
+  // *empty* result on the other. An empty join under one order is empty under
+  // every order, so a non-empty result opposite a rejection is a real
+  // divergence.
+  auto twin_check = [&](const StatusOr<QueryExecution>& primary,
+                        const StatusOr<QueryExecution>& other,
                         const std::string& what) -> Status {
-    if (col.ok() != row.ok()) {
-      if (cfg.adaptive) {
-        const StatusOr<QueryExecution>& bad = col.ok() ? row : col;
-        const StatusOr<QueryExecution>& good = col.ok() ? col : row;
-        if (bad.status().code() == StatusCode::kInvalidArgument &&
-            good->result.rows.empty()) {
-          return Status::Ok();
-        }
+    if (primary.ok() != other.ok()) {
+      const StatusOr<QueryExecution>& bad = primary.ok() ? other : primary;
+      const StatusOr<QueryExecution>& good = primary.ok() ? primary : other;
+      if (bad.status().code() == StatusCode::kInvalidArgument &&
+          good->result.rows.empty()) {
+        return Status::Ok();
       }
       return Status::Internal(
           what + ": twin status divergence: primary " +
-          (col.ok() ? "ok" : col.status().ToString()) + " vs twin " +
-          (row.ok() ? "ok" : row.status().ToString()));
+          (primary.ok() ? "ok" : primary.status().ToString()) + " vs twin " +
+          (other.ok() ? "ok" : other.status().ToString()));
     }
-    if (!col.ok()) {
-      if (col.status().code() != row.status().code()) {
+    if (!primary.ok()) {
+      if (primary.status().code() != other.status().code()) {
         return Status::Internal(what + ": twin failure codes differ: " +
-                                col.status().ToString() + " vs " +
-                                row.status().ToString());
+                                primary.status().ToString() + " vs " +
+                                other.status().ToString());
       }
       return Status::Ok();
     }
-    if (cfg.adaptive
-            ? CanonicalBag(col->result) != CanonicalBag(row->result)
-            : !same_bytes(col->result, row->result)) {
+    if (CanonicalBag(primary->result) != CanonicalBag(other->result)) {
       return Status::Internal(
           what + ": twin result divergence: primary " +
-          std::to_string(col->result.rows.size()) + " rows vs twin " +
-          std::to_string(row->result.rows.size()));
+          std::to_string(primary->result.rows.size()) + " rows vs twin " +
+          std::to_string(other->result.rows.size()));
     }
     return Status::Ok();
   };
@@ -1121,22 +1086,23 @@ TEST(DifferentialTest, MigrationSeedsMatchOracle) {
   }
 }
 
-// --- The columnar lane (§5.13): row-pipeline twin under fuzzing. ---
+// --- The columnar lane (§5.13): in-place execution under fuzzing. ---
 //
-// Same traces, same seeds, two executors. The contract is strictly stronger
-// than the oracle comparison: projected results must be byte-identical (rows
-// in the same order with the same values), because the columnar executor
-// guarantees the row pipeline's enumeration order — chunk by chunk, row by
-// row, neighbors in adjacency order — so the fork-join serialization format
-// and DeltaCache contribution keys stay unchanged.
-TEST(ColumnarDifferentialTest, RowTwinMatchesColumnarAcrossSeeds) {
+// Same contract as SeedsMatchOracle — oracle match, consistency audits,
+// delta/cold parity on every trigger, metrics sweep — with in-place
+// execution pinned, so continuous triggers take the delta path and its
+// cached columnar contributions (chunk adoption, arena sharing, selection
+// compaction at the cache boundary) are compared against the oracle on every
+// seed. Row order is pinned separately by the golden corpus
+// (golden_order_test.cc).
+TEST(ColumnarDifferentialTest, InPlaceSeedsMatchOracle) {
   uint64_t seeds = 200;
   if (const char* env = std::getenv("WUKONGS_DIFF_SEEDS")) {
     seeds = std::strtoull(env, nullptr, 10);
   }
   for (uint64_t seed = 1; seed <= seeds; ++seed) {
     RunConfig cfg = ConfigForSeed(seed);
-    cfg.row_twin = true;
+    cfg.in_place = true;
     Status st = RunTrace(cfg, MakeTrace(seed));
     ASSERT_TRUE(st.ok()) << "seed " << seed << ": " << st.ToString()
                          << "\ntrace:\n" << SerializeTrace(MakeTrace(seed));
@@ -1212,11 +1178,11 @@ TEST(DifferentialMutationTest, PlantedStaleSnReadIsCaught) {
       << "stale Stable_SN read survived 20 differential seeds";
 }
 
-// First seed the *columnar* lane (row twin armed) fails on, or 0.
-uint64_t FirstFailingTwinSeed(uint64_t max_seed) {
+// First seed the columnar lane (in-place execution pinned) fails on, or 0.
+uint64_t FirstFailingInPlaceSeed(uint64_t max_seed) {
   for (uint64_t seed = 1; seed <= max_seed; ++seed) {
     RunConfig cfg = ConfigForSeed(seed);
-    cfg.row_twin = true;
+    cfg.in_place = true;
     if (!RunTrace(cfg, MakeTrace(seed)).ok()) {
       return seed;
     }
@@ -1225,20 +1191,20 @@ uint64_t FirstFailingTwinSeed(uint64_t max_seed) {
 }
 
 // The two planted columnar defects (§5.13) must both be observable through
-// the twin lane: a selection vector that is computed but never stored leaves
-// FILTER-dropped rows active in the columnar result only, and an arena
-// recycled while the DeltaCache still references its chunks corrupts cached
-// contributions the row twin rebuilds correctly.
+// the in-place lane: a selection vector that is computed but never stored
+// leaves FILTER-dropped rows active, and an arena recycled while the
+// DeltaCache still references its chunks corrupts cached contributions —
+// both diverge from the oracle (and the latter from the cold recompute).
 TEST(ColumnarDifferentialTest, PlantedSkipSelectionCompactIsCaught) {
   test_hooks::ScopedMutation plant(&test_hooks::skip_selection_compact);
-  EXPECT_NE(FirstFailingTwinSeed(20), 0u)
-      << "uncompacted selection vector survived 20 columnar twin seeds";
+  EXPECT_NE(FirstFailingInPlaceSeed(20), 0u)
+      << "uncompacted selection vector survived 20 in-place columnar seeds";
 }
 
 TEST(ColumnarDifferentialTest, PlantedStaleArenaReuseIsCaught) {
   test_hooks::ScopedMutation plant(&test_hooks::stale_arena_reuse);
-  EXPECT_NE(FirstFailingTwinSeed(20), 0u)
-      << "stale arena reuse survived 20 columnar twin seeds";
+  EXPECT_NE(FirstFailingInPlaceSeed(20), 0u)
+      << "stale arena reuse survived 20 in-place columnar seeds";
 }
 
 TEST(DifferentialMutationTest, FailingTraceMinimizesAndReplaysByteIdentically) {

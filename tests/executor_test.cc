@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <vector>
 
 #include "src/engine/executor.h"
 #include "src/sparql/parser.h"
@@ -179,6 +181,27 @@ TEST_F(ExecutorTest, NumericFilter) {
   QueryResult r = Run("SELECT ?S WHERE { ?S val ?V . FILTER (?V > 30) }");
   ASSERT_EQ(r.rows.size(), 1u);
   EXPECT_EQ(VertexName(r.rows[0][0]), "sensor2");
+}
+
+TEST_F(ExecutorTest, DistinctKeepsNumbersThatDifferBelowOneMillionth) {
+  // DISTINCT keys numbers on their exact value: 1e-7 and 2e-7 are distinct
+  // values, and negative numbers must key without overflow.
+  auto load = [&](const char* s, const char* p, const char* o) {
+    store_.LoadTriple({strings_.InternVertex(s), strings_.InternPredicate(p),
+                       strings_.InternVertex(o)});
+  };
+  load("s1", "val", "1e-7");
+  load("s2", "val", "2e-7");
+  load("s3", "val", "-3");
+  load("s4", "val", "-4");
+  QueryResult r = Run(
+      "SELECT DISTINCT (MAX(?V) AS ?m) WHERE { ?S val ?V } GROUP BY ?S");
+  std::vector<double> values;
+  for (const auto& row : r.rows) {
+    values.push_back(row[0].number);
+  }
+  std::sort(values.begin(), values.end());
+  EXPECT_EQ(values, (std::vector<double>{-4, -3, 1e-7, 2e-7}));
 }
 
 TEST_F(ExecutorTest, PlannerStartsFromConstant) {

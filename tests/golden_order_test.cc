@@ -155,15 +155,7 @@ class ColumnarGoldenOrderTest : public ::testing::Test {
 
   // Runs `text` with patterns in written order (the plan is part of what is
   // pinned) and renders the finalized result.
-  std::string Run(const std::string& text, const ExecContext& ctx) {
-    ExecContext row_ctx = ctx;
-    row_ctx.columnar = false;
-    std::string col = RunOne(text, ctx);
-    EXPECT_EQ(col, RunOne(text, row_ctx)) << "row pipeline diverged";
-    return col;
-  }
-
-  std::string RunOne(const std::string& text, const ExecContext& ctx) {
+  std::string Run(const std::string& text) {
     auto q = ParseQuery(text, &strings_);
     EXPECT_TRUE(q.ok()) << q.status().ToString();
     if (!q.ok()) {
@@ -173,7 +165,7 @@ class ColumnarGoldenOrderTest : public ::testing::Test {
     for (size_t i = 0; i < plan.size(); ++i) {
       plan[i] = static_cast<int>(i);
     }
-    auto result = ExecuteQuery(*q, plan, ctx);
+    auto result = ExecuteQuery(*q, plan, ctx_);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return result.ok() ? Render(*result, strings_) : "";
   }
@@ -194,7 +186,7 @@ class ColumnarGoldenOrderTest : public ::testing::Test {
 
 TEST_F(ColumnarGoldenOrderTest, FanOutPastOneChunk) {
   std::string out = Run(
-      "SELECT ?P ?T ?G WHERE { hub fo ?P . ?P po ?T . ?T tag ?G }", ctx_);
+      "SELECT ?P ?T ?G WHERE { hub fo ?P . ?P po ?T . ?T tag ?G }");
   EXPECT_GT(Rows(out), kColumnarChunkRows);
   EXPECT_TRUE(MatchesGolden("fanout_multichunk", out));
 }
@@ -204,8 +196,7 @@ TEST_F(ColumnarGoldenOrderTest, OptionalAfterFanOutSpansChunks) {
   // output spans several chunks.
   std::string out = Run(
       "SELECT ?P ?T ?L WHERE { hub fo ?P . ?P po ?T "
-      "OPTIONAL { ?T likedby ?L } }",
-      ctx_);
+      "OPTIONAL { ?T likedby ?L } }");
   EXPECT_GT(Rows(out), kColumnarChunkRows);
   EXPECT_TRUE(MatchesGolden("fanout_optional_multichunk", out));
 }
@@ -217,8 +208,7 @@ TEST_F(ColumnarGoldenOrderTest, OptionalMatchedAndUnmatchedRows) {
   std::string out = Run(
       "SELECT ?P ?E ?D ?A WHERE { hub fo ?P "
       "OPTIONAL { ?P email ?E . ?E domain ?D } "
-      "OPTIONAL { ?P alias ?A } }",
-      ctx_);
+      "OPTIONAL { ?P alias ?A } }");
   EXPECT_NE(out.find("UNBOUND"), std::string::npos);
   EXPECT_TRUE(MatchesGolden("optional_matched_unmatched", out));
 }
@@ -239,7 +229,7 @@ TEST_F(ColumnarGoldenOrderTest, FilterOverSelectionVectorChunk) {
   }
   EXPECT_TRUE(sparse) << "existence check left every chunk dense";
 
-  std::string out = Run(text, ctx_);
+  std::string out = Run(text);
   EXPECT_GT(Rows(out), 0u);
   EXPECT_TRUE(MatchesGolden("filter_nondense", out));
 }
@@ -248,8 +238,7 @@ TEST_F(ColumnarGoldenOrderTest, GroupByAggregates) {
   std::string out = Run(
       "SELECT ?P (COUNT(?T) AS ?n) (SUM(?S) AS ?s) (AVG(?S) AS ?a) "
       "(MIN(?S) AS ?lo) (MAX(?S) AS ?hi) "
-      "WHERE { hub fo ?P . ?P po ?T . ?T score ?S } GROUP BY ?P",
-      ctx_);
+      "WHERE { hub fo ?P . ?P po ?T . ?T score ?S } GROUP BY ?P");
   EXPECT_EQ(Rows(out), 60u);
   EXPECT_TRUE(MatchesGolden("groupby_aggregates", out));
 }
@@ -257,13 +246,12 @@ TEST_F(ColumnarGoldenOrderTest, GroupByAggregates) {
 // Delta path (§5.9): the trigger's table is the union of per-slice
 // contributions in ascending slice order, most of them adopted from the
 // DeltaCache. Stored-graph OPTIONALs and FILTERs run per slice.
-std::string RunDeltaTriggers(bool columnar) {
+std::string RunDeltaTriggers() {
   constexpr uint64_t kInterval = 100;
   ClusterConfig config;
   config.nodes = 2;
   config.batch_interval_ms = kInterval;
   config.force_in_place = true;  // The delta path runs in place only.
-  config.columnar_executor = columnar;
   Cluster cluster(config);
   StreamId stream = *cluster.DefineStream("S", {"at"});
   StringServer* s = cluster.strings();
@@ -329,8 +317,7 @@ std::string RunDeltaTriggers(bool columnar) {
 }
 
 TEST(ColumnarGoldenDeltaTest, UnionOverCachedAndFreshSlices) {
-  EXPECT_TRUE(MatchesGolden("delta_union", RunDeltaTriggers(true)));
-  EXPECT_TRUE(MatchesGolden("delta_union", RunDeltaTriggers(false)));
+  EXPECT_TRUE(MatchesGolden("delta_union", RunDeltaTriggers()));
 }
 
 }  // namespace
