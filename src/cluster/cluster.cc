@@ -259,12 +259,20 @@ void Cluster::NotifySliceEviction(StreamId stream, BatchSeq min_live) {
   BumpMqoGeneration();
 }
 
-uint64_t Cluster::StoredEpoch() const {
-  uint64_t epoch = 0;
-  for (const auto& store : stores_) {
-    epoch += store->EdgeCountTotal();
+SnapshotNum Cluster::StoredVersionOf(const Query& q) const {
+  SnapshotNum version = 0;
+  auto read = [&](const std::vector<TriplePattern>& patterns) {
+    for (const TriplePattern& p : patterns) {
+      if (p.graph == kGraphStored) {
+        version = std::max(version, stored_versions_.Of(p.predicate));
+      }
+    }
+  };
+  read(q.patterns);
+  for (const auto& group : q.optionals) {
+    read(group);
   }
-  return epoch;
+  return version;
 }
 
 StatusOr<StreamId> Cluster::FindStream(const std::string& name) const {
@@ -282,6 +290,17 @@ void Cluster::LoadBase(std::span<const Triple> triples) {
     stores_raw_[OwnerOf(t.object)]->LoadEdge(Key(t.object, t.predicate, Dir::kIn),
                                              t.subject);
   }
+  // Base edges are visible at every snapshot, so no predicate version can
+  // describe them: caches already built flush at their next trigger.
+  {
+    std::lock_guard lock(delta_mu_);
+    for (const auto& caches : delta_caches_by_stream_) {
+      for (DeltaCache* cache : caches) {
+        cache->MarkStoredGraphChanged();
+      }
+    }
+  }
+  BumpMqoGeneration();
 }
 
 Status Cluster::FeedStream(StreamId stream, const StreamTupleVec& tuples) {
@@ -559,6 +578,7 @@ void Cluster::InjectBatch(const StreamBatch& batch, int only_node) {
       .Arg("seq", static_cast<uint64_t>(batch.seq));
   std::vector<std::vector<AppendSpan>> spans(nodes);
   std::vector<char> deferred(nodes, 0);
+  PredicateVersions::Batch versions;
   for (NodeId n = 0; n < nodes; ++n) {
     if (!applies(n)) {
       continue;
@@ -601,7 +621,8 @@ void Cluster::InjectBatch(const StreamBatch& batch, int only_node) {
           "ingest/append_persistent", n);
       persist_span.Arg("edges", static_cast<uint64_t>(timeless[n].size()));
       for (const auto& [key, value] : timeless[n]) {
-        stores_raw_[n]->InjectEdge(key, value, sn, &spans[n]);
+        versions.Note(key.pid(),
+                      stores_raw_[n]->InjectEdge(key, value, sn, &spans[n]));
       }
     }
     {
@@ -612,6 +633,9 @@ void Cluster::InjectBatch(const StreamBatch& batch, int only_node) {
       AppendTimingEdges(batch.stream, n, batch.seq, timing[n]);
     }
   }
+  // Before ReportInjected below: Stable_SN cannot cover these edges until
+  // their predicates' versions do.
+  stored_versions_.Record(versions);
   append_span.End();
   if (!filtered) {
     state.profile.inject_ms += inject_probe.FinishMs();
@@ -767,9 +791,11 @@ void Cluster::DrainBacklog(NodeId n) {
     SimCost::Add(delay_ns);
     injected_window_edges_[d.stream][n] += d.timeless.size() + d.timing.size();
     std::vector<AppendSpan> spans;
+    PredicateVersions::Batch versions;
     for (const auto& [key, value] : d.timeless) {
-      stores_raw_[n]->InjectEdge(key, value, d.sn, &spans);
+      versions.Note(key.pid(), stores_raw_[n]->InjectEdge(key, value, d.sn, &spans));
     }
+    stored_versions_.Record(versions);
     AppendTimingEdges(d.stream, n, d.seq, d.timing);
     stream_indexes_raw_[d.stream][n]->AddBatch(d.seq, spans);
     if (!spans.empty() && config_.locality_aware_index) {
@@ -1418,6 +1444,9 @@ StatusOr<QueryExecution> Cluster::RunQueryDelta(Registration& reg,
     }
   }
 
+  // Snapshot first, version second (§5.9): the context reads at a snapshot
+  // >= `snapshot`, and the version then covers every edge visible there.
+  const SnapshotNum snapshot = coordinator_->StableSn();
   std::vector<std::unique_ptr<NeighborSource>> holders;
   auto ctx = BuildContext(reg, end_ms, ChargePolicy::kInPlace, home, &holders,
                           degrade);
@@ -1447,7 +1476,7 @@ StatusOr<QueryExecution> Cluster::RunQueryDelta(Registration& reg,
 
   DeltaCache* cache = reg.delta_cache.get();
   DeltaCache::Stats before = cache->stats();
-  cache->BeginTrigger(StoredEpoch(), range.lo, range.hi);
+  cache->BeginTrigger(StoredVersionOf(q), snapshot, range.lo, range.hi);
   DeltaCache::Stats after = cache->stats();
   Bump(obs_.delta_invalidations, after.invalidations - before.invalidations);
   Bump(obs_.delta_epoch_flushes, after.epoch_flushes - before.epoch_flushes);
@@ -2416,13 +2445,13 @@ std::optional<StatusOr<QueryExecution>> Cluster::TryExecuteGrouped(
     return std::nullopt;
   }
 
-  const uint64_t stored = StoredEpoch();
   const SnapshotNum sn = coordinator_->StableSn();
+  const SnapshotNum stored = StoredVersionOf(g->probe.query);
   const uint64_t epoch = shard_map_.epoch();
   const uint64_t gen = mqo_gen_.load(std::memory_order_relaxed);
   bool paid = false;
   if (!(g->memo_valid && g->memo_end_ms == end_ms &&
-        g->memo_stored_epoch == stored && g->memo_snapshot == sn &&
+        g->memo_stored_version == stored && g->memo_snapshot == sn &&
         g->memo_ownership_epoch == epoch && g->memo_gen == gen)) {
     g->memo_valid = false;
     auto shared = ExecuteRegistrationAt(g->probe, end_ms, /*allow_delta=*/true,
@@ -2443,7 +2472,7 @@ std::optional<StatusOr<QueryExecution>> Cluster::TryExecuteGrouped(
                                               static_cast<size_t>(g->hole_col));
     g->memo_valid = true;
     g->memo_end_ms = end_ms;
-    g->memo_stored_epoch = stored;
+    g->memo_stored_version = stored;
     g->memo_snapshot = sn;
     g->memo_ownership_epoch = epoch;
     g->memo_gen = gen;
@@ -2693,10 +2722,10 @@ Status Cluster::CrashNode(NodeId node) {
     WireEvictionListeners(static_cast<StreamId>(s), node);
   }
   // Scoped delta flush: only caches of streams whose *window data* actually
-  // touched the crashed node lost summarized slices (the epoch sum alone
-  // could coincide across the reset, so those flush explicitly). A stream
-  // that never landed an edge on this node keeps its caches warm; stored-
-  // graph staleness is covered by the StoredEpoch guard in BeginTrigger.
+  // touched the crashed node lost summarized slices, so those flush
+  // explicitly. A stream that never landed an edge on this node keeps its
+  // caches warm: the restore rebuilds the same stored edges under the same
+  // snapshots, and the degraded cluster bypasses the delta path until then.
   {
     std::lock_guard lock(delta_mu_);
     for (size_t s = 0; s < delta_caches_by_stream_.size(); ++s) {

@@ -607,7 +607,7 @@ class Cluster {
   // One template group (§5.12): the shared probe registration, its members,
   // and a per-trigger memo of the probe's execution plus the hash partition
   // of its rows by hole value. The memo key pins everything a window read
-  // depends on — trigger end, stored-graph epoch, snapshot, ownership epoch
+  // depends on — trigger end, stored-graph version, snapshot, ownership epoch
   // and the MQO generation counter (bumped by GC, crashes, reconfig and
   // membership churn) — so a stale memo can never be served.
   struct TemplateGroup {
@@ -620,7 +620,7 @@ class Cluster {
     std::mutex mu;  // Guards members and the memo.
     bool memo_valid = false;
     StreamTime memo_end_ms = 0;
-    uint64_t memo_stored_epoch = 0;
+    SnapshotNum memo_stored_version = 0;
     SnapshotNum memo_snapshot = 0;
     uint64_t memo_ownership_epoch = 0;
     uint64_t memo_gen = 0;
@@ -682,9 +682,11 @@ class Cluster {
   // Index into q.windows of the single sliding-window pattern, or -1 when
   // the query is ineligible for delta caching.
   static int DeltaEligibleWindow(const Query& q);
-  // Stored-graph epoch: any append/load/crash anywhere changes it, flushing
-  // every delta cache at its next trigger (cheap relaxed-atomic sums).
-  uint64_t StoredEpoch() const;
+  // Stored-graph version of `q` (§5.9): the highest PredicateVersions entry
+  // over the predicates its stored-graph patterns read, OPTIONAL patterns
+  // included (UNION queries get neither a delta cache nor an MQO group).
+  // Read it after the snapshot it must cover.
+  SnapshotNum StoredVersionOf(const Query& q) const;
   // Eviction-listener fan-out: retire contributions below `min_live` in
   // every delta cache fed by `stream`.
   void NotifySliceEviction(StreamId stream, BatchSeq min_live);
@@ -845,6 +847,9 @@ class Cluster {
   // append race with each other and with triggers.
   mutable std::mutex delta_mu_;
   std::vector<std::vector<DeltaCache*>> delta_caches_by_stream_;
+  // Per-predicate stored-graph versions: the delta-cache and MQO memo key.
+  // Survives node crashes (a restored shard serves the same edges).
+  PredicateVersions stored_versions_;
   // --- Adaptive re-planning (§5.14). ---
   // Live statistics: rates fed from InjectBatch (logical time), fan-outs
   // from the executor's per-step observer on production executions.

@@ -22,7 +22,8 @@
 //   2. Copy    — base partition + checkpoint-log replay of batches delivered
 //                before Begin, folded into the target via the migrated-append
 //                path (GStore::InjectEdgeMigrated) so SN bookkeeping and the
-//                StoredEpoch delta-cache guard stay undisturbed.
+//                per-predicate stored-graph versions (the delta-cache key)
+//                stay undisturbed.
 //   3. Cutover — once every delivered batch's plan SN is covered by
 //                Stable_SN (the target's VTS has caught up and replayed
 //                history is visible at or below any post-commit snapshot),

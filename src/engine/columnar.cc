@@ -1,6 +1,7 @@
 #include "src/engine/columnar.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace wukongs {
@@ -231,6 +232,14 @@ void GatherColumn(const VertexId* src, const uint32_t* idx, size_t n,
 
 SpanCache::SpanCache(size_t log2_slots)
     : slots_(size_t{1} << log2_slots), probe_limit_(8) {}
+
+size_t SpanCache::Log2SlotsFor(size_t anchors) {
+  constexpr size_t kMinSlots = 16;
+  constexpr size_t kMaxSlots = 4096;
+  const size_t want = 2 * std::min(anchors, kMaxSlots);
+  return static_cast<size_t>(
+      std::bit_width(std::clamp(std::bit_ceil(want), kMinSlots, kMaxSlots)) - 1);
+}
 
 void SpanCache::Insert(VertexId v, const VertexId* nbrs, size_t n) {
   size_t s = SlotFor(v);

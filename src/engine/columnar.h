@@ -206,6 +206,12 @@ class SpanCache {
   // L2-resident — anchor sets larger than that rarely repeat anyway.
   explicit SpanCache(size_t log2_slots = 12);
 
+  // Table size for a step that probes `anchors` rows: the power of two at or
+  // above twice the count, within [16, 4096] slots. Construction zero-fills
+  // every slot, so a selective step sized to its few anchors skips most of
+  // the 128 KB fill; 2048 anchors and up get the default table.
+  static size_t Log2SlotsFor(size_t anchors);
+
   // True on hit; *nbrs/*n are valid even for cached empty adjacency.
   // Inline: this probe sits on the per-row hot path of every expansion.
   bool Lookup(VertexId v, const VertexId** nbrs, size_t* n) const {

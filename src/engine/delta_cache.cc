@@ -10,14 +10,20 @@ uint64_t DeltaCache::InvalidateAllLocked() {
   return retired;
 }
 
-void DeltaCache::BeginTrigger(uint64_t epoch, BatchSeq lo, BatchSeq hi) {
+void DeltaCache::BeginTrigger(SnapshotNum stored_version, SnapshotNum snapshot,
+                              BatchSeq lo, BatchSeq hi) {
   std::lock_guard lock(mu_);
-  if (!epoch_set_ || epoch != epoch_) {
-    if (epoch_set_ && InvalidateAllLocked() > 0) {
+  // Everything cached was built at a snapshot >= flushed_at_, and every
+  // trigger since saw no read-predicate edge visible above flushed_at_: the
+  // stored graph the tables joined against is the one at flushed_at_. A
+  // version above it is an edge they may lack — including one injected
+  // above Stable_SN, invisible when the tables were built and visible now.
+  if (must_flush_ || stored_version > flushed_at_) {
+    if (InvalidateAllLocked() > 0) {
       ++stats_.epoch_flushes;
     }
-    epoch_ = epoch;
-    epoch_set_ = true;
+    flushed_at_ = snapshot;
+    must_flush_ = false;
   }
   // Retire contributions the window slid past (and, defensively, anything
   // ahead of it — a regressing trigger time never serves future slices).
@@ -29,6 +35,11 @@ void DeltaCache::BeginTrigger(uint64_t epoch, BatchSeq lo, BatchSeq hi) {
       ++it;
     }
   }
+}
+
+void DeltaCache::MarkStoredGraphChanged() {
+  std::lock_guard lock(mu_);
+  must_flush_ = true;
 }
 
 void DeltaCache::SetPlanVersion(uint64_t version) {

@@ -12,9 +12,13 @@
 // and solution modifiers, turning the hot path from O(window) to O(delta).
 //
 // Keying: one DeltaCache instance belongs to one registered query and one
-// plan, so entries are keyed by (pattern-prefix epoch, window slice). The
-// epoch covers everything a contribution reads outside its own slice — the
-// stored graph — and any epoch change flushes the cache wholesale.
+// plan, so entries are keyed by (stored-graph version, window slice). The
+// version covers everything a contribution reads outside its own slice — the
+// stored graph, restricted to the predicates the query reads there — and is
+// an upper bound on the newest snapshot at which one of those edges became
+// visible. A version above the snapshot of the trigger that last flushed
+// means the cached tables may miss an edge: the cache flushes wholesale and
+// rebuilds at the current snapshot.
 // Invalidation: the owning cluster retires entries when the TransientStore /
 // StreamIndex GC a slice (eviction listeners) and when the window slides
 // past a batch, so the cache never outlives the data it summarizes and its
@@ -45,11 +49,20 @@ class DeltaCache {
     uint64_t plan_flushes = 0;   // Re-keying events on plan cutover (§5.14).
   };
 
-  // Opens a trigger over window slices [lo, hi] at stored-graph `epoch`:
-  // flushes everything if the epoch moved, then retires contributions the
-  // window slid past. After this call the cache holds only entries inside
-  // the window, bounding its size by the window span.
-  void BeginTrigger(uint64_t epoch, BatchSeq lo, BatchSeq hi);
+  // Opens a trigger over window slices [lo, hi] reading the stored graph at
+  // `snapshot`. `stored_version` is the query's stored-graph version, read
+  // *after* `snapshot` was taken, so it covers every edge visible there. If
+  // it is above the snapshot recorded at the last flush, everything is
+  // flushed and `snapshot` recorded; then contributions the window slid past
+  // are retired. After this call the cache holds only entries inside the
+  // window, bounding its size by the window span.
+  void BeginTrigger(SnapshotNum stored_version, SnapshotNum snapshot,
+                    BatchSeq lo, BatchSeq hi);
+
+  // Stored-graph change that no version records (a base load, which
+  // rewrites every snapshot): the next BeginTrigger flushes regardless of
+  // the version.
+  void MarkStoredGraphChanged();
 
   // Re-keys the cache to a new plan version (§5.14). The prefix table and
   // every contribution are computed *under a plan* — prefix pattern
@@ -67,9 +80,9 @@ class DeltaCache {
   void SetPlanVersion(uint64_t version);
 
   // Stored-graph prefix table (the window-independent plan prefix). Valid
-  // until the next epoch flush; the window never invalidates it. Tables are
-  // columnar: Get/Put share chunks (and their arenas) with the caller rather
-  // than copying rows, per the §5.13 ownership rules.
+  // until the next stored-graph flush; the window never invalidates it.
+  // Tables are columnar: Get/Put share chunks (and their arenas) with the
+  // caller rather than copying rows, per the §5.13 ownership rules.
   bool GetPrefix(ColumnarTable* out) const;
   void PutPrefix(const ColumnarTable& table);
 
@@ -81,8 +94,8 @@ class DeltaCache {
   // Invalidation hook fired when the transient store / stream index GC
   // slices below `min_live_seq`. Returns entries retired.
   uint64_t InvalidateBelow(BatchSeq min_live_seq);
-  // Wholesale flush (node crash, degradation, epoch change). Returns entries
-  // retired (prefix included).
+  // Wholesale flush (node crash, degradation). Returns entries retired
+  // (prefix included).
   uint64_t InvalidateAll();
 
   Stats stats() const;
@@ -93,8 +106,8 @@ class DeltaCache {
   uint64_t InvalidateAllLocked();
 
   mutable std::mutex mu_;
-  uint64_t epoch_ = 0;
-  bool epoch_set_ = false;
+  SnapshotNum flushed_at_ = 0;  // Snapshot of the trigger that last flushed.
+  bool must_flush_ = true;       // Set until the first trigger and by base loads.
   uint64_t plan_version_ = 0;
   bool plan_version_set_ = false;
   bool prefix_valid_ = false;

@@ -60,11 +60,14 @@ class NeighborCursor {
 // vertex alone. Non-selective expansions repeat anchors heavily (every row
 // that came out of a fan-out shares its upstream bindings); each repeat
 // becomes one flat L2-resident probe instead of a source hash lookup — or,
-// on fabric-backed sources, a re-charged remote read.
+// on fabric-backed sources, a re-charged remote read. The table is sized to
+// the `anchors` rows the step will probe (0 when the anchor is a constant).
 class CachedCursor {
  public:
-  CachedCursor(const NeighborSource& src, PredicateId pid, Dir dir)
-      : src_(src), pid_(pid), dir_(dir) {}
+  CachedCursor(const NeighborSource& src, PredicateId pid, Dir dir,
+               size_t anchors)
+      : src_(src), pid_(pid), dir_(dir),
+        cache_(SpanCache::Log2SlotsFor(anchors)) {}
 
   const VertexId* Fetch(VertexId anchor, size_t* n) {
     const VertexId* hit = nullptr;
@@ -258,7 +261,8 @@ Status ApplyPatternColumnar(const TriplePattern& p, const NeighborSource& src,
       const_nbrs =
           cursor.Fetch(Key(p.subject.constant, p.predicate, Dir::kOut), &const_n);
     }
-    CachedCursor cached(src, p.predicate, Dir::kOut);
+    CachedCursor cached(src, p.predicate, Dir::kOut,
+                        s_var ? table->num_rows() : 0);
     std::vector<uint32_t> keep;
     std::vector<std::pair<uint32_t, uint32_t>> mults;  // (physical row, mult)
     for (ColumnarChunk& ch : table->chunks()) {
@@ -338,7 +342,8 @@ Status ApplyPatternColumnar(const TriplePattern& p, const NeighborSource& src,
     if (!anchor.is_var()) {
       const_nbrs = cursor.Fetch(Key(anchor.constant, p.predicate, dir), &const_n);
     }
-    CachedCursor cached(src, p.predicate, dir);
+    CachedCursor cached(src, p.predicate, dir,
+                        anchor.is_var() ? table->num_rows() : 0);
     ExpansionScratch scratch;
     for (const ColumnarChunk& ch : table->chunks()) {
       scratch.Clear(ch.active());
@@ -408,7 +413,7 @@ Status ApplyPatternColumnar(const TriplePattern& p, const NeighborSource& src,
   out.AddColumn(p.object.var);
   const size_t mid_cols = mid.num_cols();
   const int mid_s_col = mid.ColumnOf(p.subject.var);
-  CachedCursor cached(src, p.predicate, Dir::kOut);
+  CachedCursor cached(src, p.predicate, Dir::kOut, mid.num_rows());
   ExpansionScratch scratch;
   for (const ColumnarChunk& ch : mid.chunks()) {
     scratch.Clear(ch.size);

@@ -143,7 +143,8 @@ struct DeltaTable {
 };
 
 // Runs the delta pipeline under an "exec/delta" span. The caller has already
-// called cache->BeginTrigger for this trigger's epoch and window range.
+// called cache->BeginTrigger for this trigger's stored-graph version,
+// snapshot and window range.
 StatusOr<DeltaTable> ExecuteDeltaPatterns(const Query& q,
                                           const std::vector<int>& plan,
                                           const ExecContext& ctx,

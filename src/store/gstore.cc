@@ -47,23 +47,27 @@ void GStore::InjectTriple(const Triple& t, SnapshotNum sn,
   InjectEdge(Key(t.object, t.predicate, Dir::kIn), t.subject, sn, spans);
 }
 
-void GStore::InjectEdge(Key key, VertexId value, SnapshotNum sn,
-                        std::vector<AppendSpan>* spans) {
-  AppendSpan s = AppendEdge(key, value, sn, spans);
+SnapshotNum GStore::InjectEdge(Key key, VertexId value, SnapshotNum sn,
+                               std::vector<AppendSpan>* spans) {
+  SnapshotNum landed = sn;
+  AppendSpan s = AppendEdge(key, value, sn, spans, &landed);
   stream_appended_edges_.fetch_add(1, std::memory_order_relaxed);
   if (spans != nullptr) {
     spans->push_back(s);
   }
+  return landed;
 }
 
 AppendSpan GStore::AppendEdge(Key key, VertexId value, SnapshotNum sn,
-                              std::vector<AppendSpan>* extra_spans) {
-  return AppendEdgeImpl(key, value, sn, extra_spans, /*migrated=*/false);
+                              std::vector<AppendSpan>* extra_spans,
+                              SnapshotNum* landed) {
+  return AppendEdgeImpl(key, value, sn, extra_spans, /*migrated=*/false, landed);
 }
 
 void GStore::InjectEdgeMigrated(Key key, VertexId value, SnapshotNum sn,
                                 std::vector<AppendSpan>* spans) {
-  AppendSpan s = AppendEdgeImpl(key, value, sn, spans, /*migrated=*/true);
+  AppendSpan s = AppendEdgeImpl(key, value, sn, spans, /*migrated=*/true,
+                                /*landed=*/nullptr);
   if (spans != nullptr) {
     spans->push_back(s);
   }
@@ -71,9 +75,10 @@ void GStore::InjectEdgeMigrated(Key key, VertexId value, SnapshotNum sn,
 
 AppendSpan GStore::AppendEdgeImpl(Key key, VertexId value, SnapshotNum sn,
                                   std::vector<AppendSpan>* extra_spans,
-                                  bool migrated) {
+                                  bool migrated, SnapshotNum* landed) {
   bool created = false;
   AppendSpan span;
+  SnapshotNum visible_at = sn;
   {
     Stripe& stripe = StripeFor(key);
     std::unique_lock lock(stripe.mu);
@@ -94,6 +99,7 @@ AppendSpan GStore::AppendEdgeImpl(Key key, VertexId value, SnapshotNum sn,
         // visibility; safe because the cutover barrier holds the epoch bump
         // until Stable_SN covers every marker created during the transfer.
         v.markers.back().end = end;
+        visible_at = v.markers.back().sn;
       } else {
         // Bulk load: base prefix, no marker needed. Markers, if any, keep
         // their offsets valid because bulk load never interleaves with
@@ -109,8 +115,13 @@ AppendSpan GStore::AppendEdgeImpl(Key key, VertexId value, SnapshotNum sn,
       // never an unordered marker list. The Cluster minimizes skew by
       // injecting cross-stream batches in sequence order.
       v.markers.back().end = end;
+      visible_at = v.markers.back().sn;
     } else {
       v.markers.push_back(SnapMarker{sn, end});
+      if (!v.listed) {
+        v.listed = true;
+        stripe.marked.push_back(key);
+      }
     }
   }
   if (migrated) {
@@ -122,11 +133,17 @@ AppendSpan GStore::AppendEdgeImpl(Key key, VertexId value, SnapshotNum sn,
   // Maintain the index vertex: a normal key created for the first time means
   // vertex `key.vid()` now has a (pid, dir) edge, so it joins the index list.
   if (created && !key.is_index()) {
+    SnapshotNum idx_visible_at = sn;
     AppendSpan idx = AppendEdgeImpl(Key(kIndexVertex, key.pid(), key.dir()),
-                                    key.vid(), sn, nullptr, migrated);
+                                    key.vid(), sn, nullptr, migrated,
+                                    &idx_visible_at);
+    visible_at = std::max(visible_at, idx_visible_at);
     if (extra_spans != nullptr) {
       extra_spans->push_back(idx);
     }
+  }
+  if (landed != nullptr) {
+    *landed = visible_at;
   }
   return span;
 }
@@ -197,11 +214,25 @@ void GStore::CollapseBelow(SnapshotNum floor) {
   }
   // Fold eagerly so reclaimed marker metadata and the new base prefix are
   // visible immediately; AppendEdge also folds lazily for keys touched later.
+  // Keys without markers have nothing to fold, so only the listed keys are
+  // visited; a key leaves the list once all its markers are folded.
   for (Stripe& stripe : stripes_) {
     std::unique_lock lock(stripe.mu);
-    for (auto& [key, value] : stripe.map) {
+    size_t kept = 0;
+    for (Key key : stripe.marked) {
+      auto it = stripe.map.find(key);
+      if (it == stripe.map.end()) {
+        continue;
+      }
+      EdgeValue& value = it->second;
       value.Collapse(floor);
+      if (value.markers.empty()) {
+        value.listed = false;
+      } else {
+        stripe.marked[kept++] = key;
+      }
     }
+    stripe.marked.resize(kept);
   }
 }
 
@@ -245,6 +276,8 @@ size_t GStore::PurgeShard(const std::function<bool(VertexId)>& in_shard) {
       }
       ++it;
     }
+    std::erase_if(stripe.marked,
+                  [&](Key key) { return !stripe.map.contains(key); });
   }
   return removed_edges;
 }
@@ -271,6 +304,7 @@ size_t GStore::MemoryBytes() const {
       bytes += value.edges.capacity() * sizeof(VertexId);
       bytes += value.markers.capacity() * sizeof(SnapMarker);
     }
+    bytes += s.marked.capacity() * sizeof(Key);
   }
   return bytes;
 }

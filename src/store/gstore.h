@@ -23,6 +23,7 @@
 #ifndef SRC_STORE_GSTORE_H_
 #define SRC_STORE_GSTORE_H_
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -44,6 +45,47 @@ struct AppendSpan {
   Key key;
   uint32_t start = 0;
   uint32_t count = 0;
+};
+
+// Stored-graph version per predicate (DESIGN.md §5.9): an upper bound on the
+// newest snapshot at which an edge of the predicate became visible. A fixed
+// table of slots indexed by predicate id; predicates sharing a slot share a
+// version, which can only cost a delta cache extra flushes, never a stale
+// reuse. The Cluster records once per injected batch — never per edge —
+// before the batch is reported to the Coordinator, so a reader that sees a
+// snapshot and then reads the version covers every edge visible there.
+// Base loads, migration copies and purges record nothing: migration and
+// purges move no edge a reader can see, and a base load rewrites every
+// snapshot, which no snapshot number can express.
+class PredicateVersions {
+  static constexpr size_t kSlots = 256;
+
+ public:
+  // One batch's appends, folded to one maximum per slot.
+  class Batch {
+   public:
+    void Note(PredicateId p, SnapshotNum visible_at) {
+      SnapshotNum& max = max_[p % kSlots];
+      max = std::max(max, visible_at);
+    }
+
+   private:
+    friend class PredicateVersions;
+    std::array<SnapshotNum, kSlots> max_{};
+  };
+
+  void Record(const Batch& batch) {
+    for (size_t i = 0; i < kSlots; ++i) {
+      const SnapshotNum sn = batch.max_[i];
+      SnapshotNum cur = slots_[i].load();
+      while (cur < sn && !slots_[i].compare_exchange_weak(cur, sn)) {
+      }
+    }
+  }
+  SnapshotNum Of(PredicateId p) const { return slots_[p % kSlots].load(); }
+
+ private:
+  std::array<std::atomic<SnapshotNum>, kSlots> slots_{};
 };
 
 class GStore {
@@ -71,14 +113,18 @@ class GStore {
   // the distributed dispatcher instead routes each direction to its owner
   // shard via InjectEdge. Spans include index-vertex appends so stream
   // windows can also seed from index keys.
+  // InjectEdge returns the snapshot the edge (and any index-vertex append it
+  // caused) became visible at: `sn`, or the newer marker a late append folded
+  // into. The Cluster records it as the predicate's stored-graph version
+  // (DESIGN.md §5.9).
   void InjectTriple(const Triple& t, SnapshotNum sn, std::vector<AppendSpan>* spans);
-  void InjectEdge(Key key, VertexId value, SnapshotNum sn,
-                  std::vector<AppendSpan>* spans);
+  SnapshotNum InjectEdge(Key key, VertexId value, SnapshotNum sn,
+                         std::vector<AppendSpan>* spans);
 
   // --- Migration appends (online reconfiguration, DESIGN.md §5.10). ---
   // Copies one edge of a moving shard into this (target) store. Differences
-  // from InjectEdge: counted separately (EdgeCountTotal — and therefore the
-  // delta-cache StoredEpoch guard — is unchanged by migration, since the data
+  // from InjectEdge: counted separately (EdgeCountTotal is unchanged by
+  // migration, and so is the predicate's stored-graph version, since the data
   // is a bit-equal copy of what the source already serves), not counted as a
   // stream append, and out-of-order SNs are tolerated — history replayed
   // *after* dual-applied live batches folds into the newest marker (deferred
@@ -120,8 +166,10 @@ class GStore {
 
   // --- Snapshot maintenance (§4.3). ---
   // Publishes a collapse floor: markers with sn <= floor fold into the base
-  // prefix lazily on next access. Called by the Coordinator once a snapshot
-  // can no longer be named by any query.
+  // prefix. Called by the Coordinator once a snapshot can no longer be named
+  // by any query. Folds eagerly, but only the keys that carry markers (each
+  // stripe lists them), so the cost follows what was appended since the last
+  // collapse, not the size of the store.
   void CollapseBelow(SnapshotNum floor);
 
   // --- Accounting. ---
@@ -150,6 +198,7 @@ class GStore {
   struct EdgeValue {
     std::vector<VertexId> edges;
     uint32_t base_end = 0;            // Visible at every snapshot.
+    bool listed = false;              // In its stripe's `marked` list.
     std::vector<SnapMarker> markers;  // Ascending sn; small and bounded.
 
     uint32_t VisibleEnd(SnapshotNum sn) const;
@@ -161,6 +210,9 @@ class GStore {
   struct Stripe {
     mutable std::shared_mutex mu;
     std::unordered_map<Key, EdgeValue, KeyHash> map;
+    // Every key that carries markers, each once (`EdgeValue::listed`), plus
+    // keys a lazy fold emptied since: only these can need folding.
+    std::vector<Key> marked;
   };
 
   Stripe& StripeFor(Key key) {
@@ -174,10 +226,14 @@ class GStore {
   // key is newly created and is a normal key, also appends the vertex to the
   // matching index key (paper Fig. 6 step 4), reporting that span via
   // `extra_spans` when non-null.
+  // `*landed` (when non-null) receives the snapshot the append became
+  // visible at, index-vertex append included.
   AppendSpan AppendEdge(Key key, VertexId value, SnapshotNum sn,
-                        std::vector<AppendSpan>* extra_spans = nullptr);
+                        std::vector<AppendSpan>* extra_spans = nullptr,
+                        SnapshotNum* landed = nullptr);
   AppendSpan AppendEdgeImpl(Key key, VertexId value, SnapshotNum sn,
-                            std::vector<AppendSpan>* extra_spans, bool migrated);
+                            std::vector<AppendSpan>* extra_spans, bool migrated,
+                            SnapshotNum* landed);
 
   const NodeId node_;
   std::array<Stripe, kStripeCount> stripes_;

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -347,6 +348,87 @@ TEST(ColumnarKernelTest, SpanCacheInsertCopyOutlivesScratchAndEviction) {
   for (size_t i = 0; i < stable.size(); ++i) {
     EXPECT_TRUE(std::equal(want[i].begin(), want[i].end(), stable[i]))
         << "copied span " << i << " clobbered by eviction or scratch reuse";
+  }
+}
+
+TEST(ColumnarKernelTest, SpanCacheSizedToAnchorsMatchesReferenceAtEveryStep) {
+  // The executor sizes each step's SpanCache to the rows it will probe
+  // (§5.13). At anchor counts straddling each size step, a cache of that
+  // size driven the way CachedCursor drives it — Lookup, then Insert by
+  // reference or InsertCopy from a clobbered scratch — must hand back
+  // exactly the reference adjacency for every anchor, with a key set that
+  // piles most anchors onto two home slots so probe runs overflow and evict.
+  struct Step {
+    size_t anchors;
+    size_t slots;
+  };
+  const Step steps[] = {{0, 16},       {1, 16},       {8, 16},   {9, 32},
+                        {2047, 4096}, {2048, 4096}, {5000, 4096}};
+  // SpanCache's slot hash (SplitMix64 finalizer), used only to pick
+  // colliding keys; the checks below hold whatever the hash.
+  auto home = [](VertexId v, size_t slots) {
+    uint64_t x = v;
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ULL;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebULL;
+    x ^= x >> 31;
+    return static_cast<size_t>(x) & (slots - 1);
+  };
+  for (const Step& step : steps) {
+    const size_t log2_slots = SpanCache::Log2SlotsFor(step.anchors);
+    ASSERT_EQ(size_t{1} << log2_slots, step.slots) << step.anchors << " anchors";
+    SpanCache cache(log2_slots);
+
+    Rng rng(step.anchors + 17);
+    // Key pool: colliding keys (home slot 0 or 1) plus as many spread keys,
+    // so a step probes repeats, collisions and plain misses.
+    std::vector<VertexId> pool;
+    const size_t want = std::max<size_t>(4, step.anchors / 3);
+    for (VertexId v = 1; pool.size() < want; ++v) {
+      if (home(v, step.slots) <= 1) {
+        pool.push_back(v);
+      }
+    }
+    for (size_t i = 0; i < want; ++i) {
+      pool.push_back(static_cast<VertexId>(rng.Uniform(1, 1u << 30)));
+    }
+    std::map<VertexId, std::vector<VertexId>> adjacency;
+    for (VertexId v : pool) {
+      std::vector<VertexId>& nbrs = adjacency[v];
+      if (nbrs.empty()) {
+        nbrs.assign(rng.Uniform(0, 4), v * 3);
+        for (size_t i = 0; i < nbrs.size(); ++i) {
+          nbrs[i] += i;
+        }
+      }
+    }
+
+    std::vector<VertexId> scratch;
+    size_t hits = 0;
+    for (size_t i = 0; i < step.anchors; ++i) {
+      const VertexId anchor = pool[rng.Uniform(0, pool.size() - 1)];
+      const std::vector<VertexId>& want_nbrs = adjacency[anchor];
+      const VertexId* nbrs = nullptr;
+      size_t n = 0;
+      if (cache.Lookup(anchor, &nbrs, &n)) {
+        ++hits;
+      } else if (anchor % 2 == 0) {
+        cache.Insert(anchor, want_nbrs.data(), want_nbrs.size());
+        nbrs = want_nbrs.data();
+        n = want_nbrs.size();
+      } else {
+        scratch = want_nbrs;
+        nbrs = cache.InsertCopy(anchor, scratch.data(), scratch.size());
+        n = scratch.size();
+        scratch.assign(scratch.size(), 0xFFFF);
+      }
+      ASSERT_EQ(std::vector<VertexId>(nbrs, nbrs + n), want_nbrs)
+          << step.anchors << " anchors, probe " << i << " key " << anchor;
+    }
+    if (step.anchors > pool.size()) {
+      EXPECT_GT(hits, 0u) << step.anchors << " anchors";
+    }
   }
 }
 

@@ -2,8 +2,10 @@
 //
 // Covers the cache mechanics in isolation, the cluster integration (delta
 // triggers must be bag-identical to cold full-window re-execution), the
-// planner's per-window cardinality fix and cache-friendly ordering hint, a
-// planted invalidation bug the parity oracle must catch, a randomized
+// per-predicate stored-graph version that keys the cache (checked against
+// the reference oracle), the planner's per-window cardinality fix and
+// cache-friendly ordering hint, a planted invalidation bug the parity
+// oracle must catch, a randomized
 // append/expire/GC interleaving property, and a threaded race of concurrent
 // triggers against maintenance GC (run under TSan in CI).
 
@@ -26,6 +28,7 @@
 #include "src/engine/delta_cache.h"
 #include "src/sparql/plan_pin.h"
 #include "src/store/planner.h"
+#include "src/testkit/reference_oracle.h"
 #include "src/testkit/schedule_controller.h"
 
 namespace wukongs {
@@ -64,7 +67,7 @@ ColumnarTable OneRowTable(VertexId v) {
 
 TEST(DeltaCacheTest, MissThenHitAccounting) {
   DeltaCache cache;
-  cache.BeginTrigger(/*epoch=*/1, /*lo=*/0, /*hi=*/4);
+  cache.BeginTrigger(/*stored_version=*/1, /*snapshot=*/1, /*lo=*/0, /*hi=*/4);
   ColumnarTable out;
   EXPECT_FALSE(cache.GetContribution(2, &out));
   cache.PutContribution(2, OneRowTable(7));
@@ -78,13 +81,14 @@ TEST(DeltaCacheTest, MissThenHitAccounting) {
 
 TEST(DeltaCacheTest, EpochChangeFlushesEverything) {
   DeltaCache cache;
-  cache.BeginTrigger(1, 0, 4);
+  cache.BeginTrigger(1, 1, 0, 4);
   cache.PutPrefix(OneRowTable(1));
   cache.PutContribution(0, OneRowTable(2));
   cache.PutContribution(1, OneRowTable(3));
   EXPECT_EQ(cache.EntryCount(), 2u);
 
-  cache.BeginTrigger(2, 0, 4);  // Stored graph moved.
+  // A read predicate gained an edge visible above the flush snapshot.
+  cache.BeginTrigger(2, 2, 0, 4);
   ColumnarTable out;
   EXPECT_EQ(cache.EntryCount(), 0u);
   EXPECT_FALSE(cache.GetPrefix(&out));
@@ -93,14 +97,14 @@ TEST(DeltaCacheTest, EpochChangeFlushesEverything) {
 
 TEST(DeltaCacheTest, WindowSlideRetiresOutOfWindowEntries) {
   DeltaCache cache;
-  cache.BeginTrigger(1, 0, 9);
+  cache.BeginTrigger(1, 1, 0, 9);
   for (BatchSeq b = 0; b <= 9; ++b) {
     cache.PutContribution(b, OneRowTable(b));
   }
   cache.PutPrefix(OneRowTable(99));
   EXPECT_EQ(cache.EntryCount(), 10u);
 
-  cache.BeginTrigger(1, 3, 12);  // Window slid by three slices.
+  cache.BeginTrigger(1, 2, 3, 12);  // Window slid by three slices.
   EXPECT_EQ(cache.EntryCount(), 7u);  // 3..9 survive, 0..2 retired.
   ColumnarTable out;
   EXPECT_TRUE(cache.GetPrefix(&out));  // The prefix never slides out.
@@ -111,7 +115,7 @@ TEST(DeltaCacheTest, WindowSlideRetiresOutOfWindowEntries) {
 
 TEST(DeltaCacheTest, InvalidateBelowAndAll) {
   DeltaCache cache;
-  cache.BeginTrigger(1, 0, 4);
+  cache.BeginTrigger(1, 1, 0, 4);
   for (BatchSeq b = 0; b <= 4; ++b) {
     cache.PutContribution(b, OneRowTable(b));
   }
@@ -347,6 +351,145 @@ TEST_F(DeltaClusterTest, NodeCrashInvalidatesAndFallsBackCold) {
   auto exec = cluster_->ExecuteContinuousAt(*h, 1000);
   ASSERT_TRUE(exec.ok()) << exec.status().ToString();
   EXPECT_FALSE(exec->delta);
+}
+
+// ---------------------------------------------------------------------------
+// DeltaVersionTest: the per-predicate stored-graph version (§5.9).
+// ---------------------------------------------------------------------------
+
+// Two streams: S carries the window's timing pings, T timeless facts that
+// land in the stored graph. kDeltaQuery reads `fo` from the stored graph.
+class DeltaVersionTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ClusterConfig config;
+    config.nodes = 2;
+    config.batch_interval_ms = kIntervalMs;
+    cluster_ = std::make_unique<Cluster>(config);
+    oracle_ = std::make_unique<testkit::ReferenceOracle>(
+        cluster_->strings(), kIntervalMs, config.batches_per_sn);
+    s_ = *cluster_->DefineStream("S", {"at"});
+    t_ = *cluster_->DefineStream("T");
+    oracle_->DefineStream("S");
+    oracle_->DefineStream("T");
+    cluster_->SetBatchLogger([this](const StreamBatch& b) {
+      oracle_->AddBatch(b.stream, b.seq, b.tuples);
+    });
+    TripleVec base = {Fact("Logan", "fo", "Erik"), Fact("Logan", "fo", "Tony")};
+    cluster_->LoadBase(base);
+    oracle_->LoadBase(base);
+    auto h = cluster_->RegisterContinuous(kDeltaQuery);
+    ASSERT_TRUE(h.ok()) << h.status().ToString();
+    h_ = *h;
+    ASSERT_TRUE(cluster_->HasDeltaCache(h_));
+  }
+
+  Triple Fact(const std::string& su, const std::string& p, const std::string& o) {
+    StringServer* s = cluster_->strings();
+    return Triple{s->InternVertex(su), s->InternPredicate(p), s->InternVertex(o)};
+  }
+  StreamTuple Ping(const std::string& who, StreamTime ts) {
+    return StreamTuple{Fact(who, "at", "L" + std::to_string(ts)), ts,
+                       TupleKind::kTiming};
+  }
+  StreamTuple Timeless(const std::string& su, const std::string& p,
+                       const std::string& o, StreamTime ts) {
+    return StreamTuple{Fact(su, p, o), ts, TupleKind::kTimeless};
+  }
+
+  // The trigger at `end` must be bag-equal to the cold path and to the
+  // reference oracle at the snapshot it reports.
+  QueryExecution Trigger(StreamTime end) {
+    auto exec = cluster_->ExecuteContinuousAt(h_, end);
+    EXPECT_TRUE(exec.ok()) << exec.status().ToString();
+    if (!exec.ok()) {
+      return QueryExecution{};
+    }
+    auto cold = cluster_->ExecuteContinuousColdAt(h_, end);
+    EXPECT_TRUE(cold.ok()) << cold.status().ToString();
+    if (cold.ok()) {
+      EXPECT_EQ(Canon(exec->result), Canon(cold->result))
+          << "delta/cold divergence at end=" << end;
+    }
+    auto want = oracle_->Evaluate(cluster_->ContinuousQueryOf(h_), exec->snapshot,
+                                  cluster_->coordinator()->StableVts(), end);
+    EXPECT_TRUE(want.ok()) << want.status().ToString();
+    if (want.ok()) {
+      EXPECT_EQ(testkit::CanonicalBag(exec->result), testkit::CanonicalBag(*want))
+          << "engine/oracle divergence at end=" << end;
+    }
+    return *exec;
+  }
+
+  std::unique_ptr<Cluster> cluster_;
+  std::unique_ptr<testkit::ReferenceOracle> oracle_;
+  StreamId s_ = 0;
+  StreamId t_ = 0;
+  Cluster::ContinuousHandle h_ = 0;
+};
+
+TEST_F(DeltaVersionTest, UnreadPredicatesKeepTheCacheWarm) {
+  // T appends `po` every slice: the stored graph grows on every trigger, but
+  // never on a predicate the query reads, so nothing may flush.
+  size_t nonempty = 0;
+  for (StreamTime end = 1000; end <= 2500; end += kIntervalMs) {
+    const std::string who = (end / kIntervalMs) % 2 == 0 ? "Erik" : "Tony";
+    ASSERT_TRUE(cluster_->FeedStream(s_, {Ping(who, end - 50)}).ok());
+    ASSERT_TRUE(cluster_
+                    ->FeedStream(t_, {Timeless(who, "po",
+                                               "P" + std::to_string(end), end - 40)})
+                    .ok());
+    cluster_->AdvanceStreams(end);
+    ASSERT_TRUE(cluster_->WindowReady(h_, end));
+    QueryExecution exec = Trigger(end);
+    EXPECT_TRUE(exec.delta) << "end=" << end;
+    nonempty += exec.result.rows.empty() ? 0 : 1;
+  }
+  EXPECT_GT(nonempty, 0u);
+  DeltaCache::Stats stats = cluster_->DeltaStatsOf(h_);
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_EQ(stats.epoch_flushes, 0u);
+}
+
+TEST_F(DeltaVersionTest, ReadPredicateAboveStableSnapshotFlushesOnceVisible) {
+  // Bruce pings inside the window; `Logan fo Bruce` arrives on T while S lags,
+  // so the edge is stored but not yet visible at Stable_SN. The first trigger
+  // must not see it; once S catches up the edge is visible and the next
+  // trigger must see it, though no edge was appended in between: a cache
+  // keyed by an edge count would reuse the prefix built without Bruce.
+  StreamTupleVec pings;
+  for (StreamTime ts = 50; ts < 1000; ts += kIntervalMs) {
+    pings.push_back(Ping((ts / kIntervalMs) % 2 == 0 ? "Erik" : "Bruce", ts));
+  }
+  ASSERT_TRUE(cluster_->FeedStream(s_, pings).ok());
+  cluster_->AdvanceStreams(1000);
+  QueryExecution warm = Trigger(1000);
+  ASSERT_TRUE(warm.delta);
+  const SnapshotNum before = cluster_->coordinator()->StableSn();
+
+  // T runs one batch ahead of S: its batch [1000, 1100) closes when the
+  // 1150 tuple arrives, landing `fo` at a snapshot S has not reached.
+  ASSERT_TRUE(cluster_
+                  ->FeedStream(t_, {Timeless("Logan", "fo", "Bruce", 1050),
+                                    Timeless("Logan", "po", "P1", 1150)})
+                  .ok());
+  EXPECT_EQ(cluster_->coordinator()->StableSn(), before) << "S must hold it back";
+  QueryExecution held = Trigger(1000);
+  EXPECT_TRUE(held.delta);
+  EXPECT_EQ(Canon(held.result), Canon(warm.result));
+
+  ASSERT_TRUE(cluster_->FeedStream(s_, {Ping("Erik", 1050)}).ok());
+  cluster_->AdvanceStreams(1100);
+  ASSERT_GT(cluster_->coordinator()->StableSn(), before);
+  QueryExecution caught_up = Trigger(1100);
+  EXPECT_TRUE(caught_up.delta);
+  const VertexId bruce = cluster_->strings()->InternVertex("Bruce");
+  size_t bruce_rows = 0;
+  for (const auto& row : caught_up.result.rows) {
+    bruce_rows += !row.empty() && !row[0].is_number && row[0].vid == bruce;
+  }
+  EXPECT_GT(bruce_rows, 0u) << "the now-visible fo edge is missing";
+  EXPECT_GE(cluster_->DeltaStatsOf(h_).epoch_flushes, 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <set>
 
@@ -123,6 +125,93 @@ TEST_P(GStorePropertyTest, RandomOpsMatchModel) {
   for (uint64_t packed : touched) {
     Key key = Key::FromPacked(packed);
     EXPECT_EQ(store.GetEdges(key, max_sn), model.Read(key, max_sn));
+  }
+}
+
+// CollapseBelow folds only the keys its stripes list as carrying markers.
+// After every collapse — before any read could fold a key lazily — the
+// store must look exactly as if every key had been walked: the visible end
+// of every key at every snapshot the floor still allows, and the snapshot
+// metadata left behind (one marker per distinct snapshot above the floor).
+TEST_P(GStorePropertyTest, ListedCollapseMatchesFullWalk) {
+  Rng rng(GetParam() * 7919);
+  GStore store(0);
+  ModelStore model;
+  std::map<Key, std::set<SnapshotNum>> appended_sns;  // Per key, incl. index.
+
+  // Bytes of one marker, measured: a fresh key plus its index key.
+  size_t marker_bytes = 0;
+  {
+    GStore probe(0);
+    probe.InjectEdge(Key(1, 1, Dir::kOut), 2, 1, nullptr);
+    marker_bytes = probe.SnapshotMetadataBytes() / 2;
+  }
+  ASSERT_GT(marker_bytes, 0u);
+
+  constexpr size_t kVertices = 300;
+  constexpr PredicateId kPredicates = 3;
+  auto random_key = [&] {
+    return Key(rng.Uniform(1, kVertices),
+               1 + static_cast<PredicateId>(rng.Uniform(0, kPredicates - 1)),
+               rng.Bernoulli(0.5) ? Dir::kOut : Dir::kIn);
+  };
+  auto append = [&](Key key, VertexId value, SnapshotNum sn) {
+    bool created = model.Read(key, ~SnapshotNum{0}).empty();
+    model.Append(key, value, sn);
+    if (sn > GStore::kBaseSnapshot) {
+      appended_sns[key].insert(sn);
+    }
+    if (created) {
+      Key idx(kIndexVertex, key.pid(), key.dir());
+      model.Append(idx, key.vid(), sn);
+      if (sn > GStore::kBaseSnapshot) {
+        appended_sns[idx].insert(sn);
+      }
+    }
+  };
+
+  // A base prefix on a third of the keys: they carry no markers until a
+  // stream appends to them, so a correct collapse never needs to visit them.
+  for (int i = 0; i < 400; ++i) {
+    Key key = random_key();
+    if (key.vid() % 3 != 0) {
+      continue;
+    }
+    VertexId value = rng.Uniform(1, 1000000);
+    store.LoadEdge(key, value);
+    append(key, value, GStore::kBaseSnapshot);
+  }
+
+  SnapshotNum sn = 1;
+  SnapshotNum floor = 0;
+  for (int round = 0; round < 30; ++round) {
+    size_t appends = rng.Uniform(0, 60);
+    for (size_t i = 0; i < appends; ++i) {
+      sn += rng.Bernoulli(0.2) ? 1 : 0;
+      Key key = random_key();
+      VertexId value = rng.Uniform(1, 1000000);
+      store.InjectEdge(key, value, sn, nullptr);
+      append(key, value, sn);
+    }
+    floor = std::min(sn, floor + rng.Uniform(0, 3));
+    store.CollapseBelow(floor);
+    model.CollapseBelow(floor);
+
+    size_t markers = 0;
+    for (const auto& [key, sns] : appended_sns) {
+      markers += static_cast<size_t>(
+          std::distance(sns.upper_bound(floor), sns.end()));
+    }
+    ASSERT_EQ(store.SnapshotMetadataBytes(), markers * marker_bytes)
+        << "round " << round << " floor " << floor
+        << ": a key with markers was not folded";
+    for (const auto& [key, sns] : appended_sns) {
+      for (SnapshotNum at = floor; at <= sn + 1; ++at) {
+        ASSERT_EQ(store.GetEdges(key, at), model.Read(key, at))
+            << "round " << round << " key " << key.DebugString() << " sn " << at;
+      }
+    }
+    sn += 1;  // The next round's appends land above the published floor.
   }
 }
 
